@@ -179,24 +179,6 @@ class CampaignSession:
         self.detection_lfsr = Lfsr(0xDE7EC7 ^ detection_seed)
         self.bus.milestone("campaign_start", session=self, spec=spec)
 
-    # -- process tuning --------------------------------------------------------
-    def freeze_steady_state(self):
-        """Move the session's long-lived object graph out of GC scanning.
-
-        A warmed session holds a large, effectively immortal structure —
-        netlist, coverage maps, decode and compiled-slot caches — that
-        every full collection re-scans even though none of it ever becomes
-        garbage.  Collect pending cycles first, then ``gc.freeze()`` what
-        survived into the permanent generation.  Call after warmup from a
-        long-running driver (the perf harness does, for both sides of the
-        ratio); short-lived sessions in tests should not bother — frozen
-        objects are never reclaimed by the cycle collector.
-        """
-        import gc
-
-        gc.collect()
-        gc.freeze()
-
     # -- one iteration ---------------------------------------------------------
     def run_iteration(self):
         """Generate, execute, feed back, account time; returns the outcome."""

@@ -251,182 +251,6 @@ class TestEventBusFastPath:
         assert sink.dropped + len(consumed) == 8
 
 
-class TestBlockCompile:
-    """Compiled-dispatch equivalence, invalidation, and cache hygiene."""
-
-    @pytest.mark.parametrize("core", CORES)
-    @pytest.mark.parametrize("style", STYLES)
-    def test_compiled_off_matches_on(self, core, style):
-        """Disabling compiled dispatch changes nothing observable."""
-        from repro.ref import blockcompile
-
-        compiled = CampaignSession(_spec(core, style))
-        compiled.run_iterations(6)
-        stats = blockcompile.compile_stats(compiled.core)
-        assert stats["compiled_instructions"] > 0
-        assert stats["entries_compiled"] > 0
-
-        previous = blockcompile.set_enabled(False)
-        try:
-            interpreted = CampaignSession(_spec(core, style))
-            interpreted.run_iterations(6)
-            off_stats = blockcompile.compile_stats(interpreted.core)
-            assert off_stats["compiled_instructions"] == 0
-        finally:
-            blockcompile.set_enabled(previous)
-        assert _fingerprint(compiled) == _fingerprint(interpreted)
-
-    def test_mid_extent_trap_bails_to_interpreter(self):
-        """A trapping slot commits nothing; the interpreter re-executes
-        it bit-identically (jalr to a misaligned target)."""
-        from repro.isa.encoder import encode
-        from repro.ref import blockcompile
-
-        sessions = [CampaignSession(_spec("rocket", "optimized"))
-                    for _ in range(2)]
-        for session in sessions:
-            session.run_iterations(1)
-        compiled_core, interp_core = (s.core for s in sessions)
-        words = [encode("addi", rd=5, rs1=0, imm=2),
-                 encode("jalr", rd=1, rs1=5, imm=0)]  # target 2: misaligned
-        base = compiled_core.reset_pc
-        for core in (compiled_core, interp_core):
-            core.memory.write_program(base, words)
-            core.executor.state.pc = base
-
-        extent = blockcompile.compile_extent(compiled_core, words)
-        assert extent is not None and extent.tail is not None
-        before = compiled_core._compile_stats["bailouts"]
-        advanced = blockcompile.run_block(compiled_core, extent, base, 10)
-        # The addi committed; the trapping jalr did not.
-        assert advanced == 1
-        assert compiled_core.executor.state.pc == base + 4
-        assert compiled_core.executor.state.read_x(5) == 2
-        assert compiled_core._compile_stats["bailouts"] == before + 1
-        compiled_core.step()  # interpreter re-executes the jalr -> trap
-
-        interp_core.step()
-        record = interp_core.step()
-        assert record.trap is not None
-        assert (compiled_core.executor.state.snapshot()
-                == interp_core.executor.state.snapshot())
-        assert compiled_core.cycles == interp_core.cycles
-
-    def test_version_heat_gates_fuzz_compilation(self):
-        """With fuzz gating on, blocks map only after their version
-        recurs; a re-stamped clone goes cold again."""
-        from repro.fuzzer.blocks import Iteration
-        from repro.harness.image import build_image
-        from repro.isa.encoder import encode
-        from repro.ref import blockcompile
-
-        session = CampaignSession(_spec("rocket", "optimized"))
-        session.run_iterations(1)
-        core = session.core
-        seed = session.fuzzer.generate_iteration()
-        nop = encode("addi", rd=0, rs1=0, imm=0)
-
-        def sighting(blocks, padding):
-            iteration = Iteration(blocks=list(blocks), layout=seed.layout,
-                                  setup_words=[nop] * padding)
-            iteration.assemble()
-            image = build_image(iteration)
-            return blockcompile.build_block_map(core, image, iteration), image
-
-        previous = blockcompile.set_fuzz_gating(True)
-        try:
-            map1, image1 = sighting(seed.blocks, 1)
-            assert image1.block_bases[0] not in map1  # first sighting: cold
-            map2, image2 = sighting(seed.blocks, 2)
-            assert image2.block_bases[0] not in map2  # second sighting: cold
-            map3, image3 = sighting(seed.blocks, 3)
-            assert image3.block_bases[0] in map3  # third sighting: hot
-            # Template entries are mapped unconditionally.
-            assert seed.layout.reset in map1
-
-            # Copy-on-write re-stamp: the clone's fresh version starts cold
-            # while its untouched neighbours stay hot.
-            blocks = list(seed.blocks)
-            blocks[0] = blocks[0].clone()
-            assert blocks[0].version != seed.blocks[0].version
-            map4, image4 = sighting(blocks, 4)
-            assert image4.block_bases[0] not in map4
-            assert image4.block_bases[1] in map4
-        finally:
-            blockcompile.set_fuzz_gating(previous)
-
-    def test_fuzz_gating_matches_default_dispatch(self):
-        """Version-gated fuzz compilation is observably identical to the
-        default template-only dispatch (and to pure interpretation, by
-        transitivity with test_compiled_off_matches_on)."""
-        from repro.ref import blockcompile
-
-        default = CampaignSession(_spec("rocket", "optimized"))
-        default.run_iterations(6)
-
-        previous = blockcompile.set_fuzz_gating(True)
-        try:
-            gated = CampaignSession(_spec("rocket", "optimized"))
-            gated.run_iterations(6)
-        finally:
-            blockcompile.set_fuzz_gating(previous)
-        assert gated.core._entry_heat  # the gate actually ran
-        assert _fingerprint(gated) == _fingerprint(default)
-
-    def test_resume_starts_cold_and_stays_identical(self):
-        """Compile caches are checkpoint-transparent: a resumed session
-        recompiles from nothing yet replays bit-identically."""
-        straight = CampaignSession(_spec("rocket", "optimized"))
-        straight.run_iterations(8)
-
-        first_leg = CampaignSession(_spec("rocket", "optimized"))
-        first_leg.run_iterations(4)
-        assert first_leg.core._slot_cache  # warm before capture
-        checkpoint = CampaignCheckpoint.capture(first_leg)
-        resumed = CampaignCheckpoint.from_json(checkpoint.to_json()).restore()
-        assert not resumed.core._slot_cache
-        assert not resumed.core._template_map
-        assert not resumed.core._entry_heat
-        resumed.run_iterations(4)
-        assert resumed.core._slot_cache  # rewarmed on its own
-        assert _fingerprint(resumed) == _fingerprint(straight)
-
-    def test_compile_caches_stay_bounded(self):
-        from repro.isa.encoder import encode
-        from repro.ref import blockcompile
-
-        session = CampaignSession(_spec("rocket", "optimized"))
-        session.run_iterations(1)
-        core = session.core
-        original = blockcompile._SLOT_CACHE_LIMIT
-        blockcompile._SLOT_CACHE_LIMIT = 16
-        try:
-            core._slot_cache.clear()
-            for index in range(100):
-                word = encode("addi", rd=5, rs1=6, imm=index)
-                blockcompile.compile_extent(core, [word])
-                assert len(core._slot_cache) <= 16
-        finally:
-            blockcompile._SLOT_CACHE_LIMIT = original
-
-    def test_heat_and_template_map_stay_bounded(self):
-        from repro.ref import blockcompile
-
-        session = CampaignSession(_spec("rocket", "optimized"))
-        core = session.core
-        heat_limit = blockcompile._HEAT_LIMIT
-        blockcompile._HEAT_LIMIT = 32
-        gating = blockcompile.set_fuzz_gating(True)
-        try:
-            core._entry_heat.clear()
-            session.run_iterations(12)
-            assert 0 < len(core._entry_heat) <= 32
-            assert len(core._template_map) <= blockcompile._TEMPLATE_MAP_LIMIT
-        finally:
-            blockcompile._HEAT_LIMIT = heat_limit
-            blockcompile.set_fuzz_gating(gating)
-
-
 class TestPerfHarnessPlumbing:
     def test_flat_metrics_and_compare(self):
         from repro.perf.baseline import compare
