@@ -6,10 +6,43 @@ for offline replay in a software simulator.  Here a snapshot captures the
 complete model state (architectural state, memory pages, micro-arch values,
 coverage counters, cycle count) and can restore it bit-for-bit, which the
 debugging workflow in the examples uses the same way.
+
+A serialized snapshot is UTF-8 JSON: memory pages travel as base64 and
+integer-keyed dicts (page indices, CSR addresses) as string keys that
+:meth:`HardwareSnapshot.from_bytes` converts back and validates.
 """
 
-import pickle
+import base64
+import json
 from dataclasses import dataclass, field
+
+from repro.ref.memory import PAGE_SIZE
+
+SNAPSHOT_FORMAT_VERSION = 1
+
+
+def _int(value):
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _int_list(values, length):
+    if not isinstance(values, list) or len(values) != length:
+        raise ValueError(f"expected a list of {length} integers")
+    return [_int(value) for value in values]
+
+
+def _int_values(mapping):
+    """``{name: int}`` dict (microarch values, coverage counts)."""
+    return {name: _int(value) for name, value in mapping.items()}
+
+
+def _page(text):
+    page = base64.b64decode(text, validate=True)
+    if len(page) != PAGE_SIZE:
+        raise ValueError(f"memory page of {len(page)} bytes, expected {PAGE_SIZE}")
+    return page
 
 
 @dataclass
@@ -55,14 +88,61 @@ class HardwareSnapshot:
 
     def to_bytes(self):
         """Serialize (the host-PC transfer of the paper's workflow)."""
-        return pickle.dumps(self)
+        arch = dict(self.arch_state)
+        arch["csrs"] = {str(address): value
+                        for address, value in arch["csrs"].items()}
+        payload = {
+            "version": SNAPSHOT_FORMAT_VERSION,
+            "core_name": self.core_name,
+            "cycles": self.cycles,
+            "retired": self.retired,
+            "arch_state": arch,
+            "memory_pages": {
+                str(index): base64.b64encode(page).decode("ascii")
+                for index, page in self.memory_pages.items()
+            },
+            "microarch_values": self.microarch_values,
+            "coverage_counts": self.coverage_counts,
+            "annotation": self.annotation,
+        }
+        return json.dumps(payload, sort_keys=True).encode("utf-8")
 
     @classmethod
     def from_bytes(cls, blob):
-        snapshot = pickle.loads(blob)
-        if not isinstance(snapshot, cls):
-            raise TypeError("blob does not contain a HardwareSnapshot")
-        return snapshot
+        """Parse :meth:`to_bytes` output; raises ``ValueError`` on a
+        malformed or wrong-shaped blob."""
+        try:
+            data = json.loads(blob)
+            if data["version"] != SNAPSHOT_FORMAT_VERSION:
+                raise ValueError(
+                    f"unsupported snapshot format {data['version']!r}")
+            arch = data["arch_state"]
+            reservation = arch["reservation"]
+            cycles = data["cycles"]
+            if type(cycles) not in (int, float):
+                raise ValueError(f"cycles must be a number, got {cycles!r}")
+            return cls(
+                core_name=str(data["core_name"]),
+                cycles=float(cycles),
+                retired=_int(data["retired"]),
+                arch_state={
+                    "xregs": _int_list(arch["xregs"], 32),
+                    "fregs": _int_list(arch["fregs"], 32),
+                    "pc": _int(arch["pc"]),
+                    "csrs": {int(address): _int(value)
+                             for address, value in arch["csrs"].items()},
+                    "privilege": _int(arch["privilege"]),
+                    "reservation": (None if reservation is None
+                                    else _int(reservation)),
+                },
+                memory_pages={int(index): _page(text)
+                              for index, text in data["memory_pages"].items()},
+                microarch_values=_int_values(data["microarch_values"]),
+                coverage_counts=_int_values(data["coverage_counts"]),
+                annotation=str(data["annotation"]),
+            )
+        except (KeyError, TypeError, AttributeError) as error:
+            raise ValueError(f"malformed HardwareSnapshot blob: {error!r}") from error
 
     @property
     def resident_memory_bytes(self):

@@ -200,10 +200,47 @@ class TestSnapshot:
         core = RocketCore()
         core.load_program(core.reset_pc, [0x13])
         core.run(1)
-        snapshot = HardwareSnapshot.capture(core)
+        core.state.csrs[0x340] = 0xABCD  # mscratch: an int-keyed CSR
+        snapshot = HardwareSnapshot.capture(core, annotation="roundtrip")
         clone = HardwareSnapshot.from_bytes(snapshot.to_bytes())
-        assert clone.arch_state == snapshot.arch_state
-        assert clone.cycles == snapshot.cycles
+        assert clone == snapshot
+        assert clone.arch_state["csrs"][0x340] == 0xABCD
+        assert all(isinstance(index, int) for index in clone.memory_pages)
+
+    def test_malformed_blob_rejected(self):
+        import json
+
+        core = RocketCore()
+        core.load_program(core.reset_pc, [0x13])
+        blob = HardwareSnapshot.capture(core).to_bytes()
+        data = json.loads(blob)
+
+        def mangled(path, value):
+            copy = json.loads(blob)
+            target = copy
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+            return json.dumps(copy).encode()
+
+        page = next(iter(data["memory_pages"]))
+        bad_blobs = [
+            b"\x80\x04not json",
+            blob[: len(blob) // 2],
+            b"[]",
+            b"{}",
+            mangled(("version",), 99),
+            mangled(("arch_state", "xregs"), [0] * 31),
+            mangled(("arch_state", "pc"), "0x80000000"),
+            mangled(("arch_state", "csrs"), {"mstatus": 0}),
+            mangled(("memory_pages", page), "not base64!"),
+            mangled(("memory_pages", page), "AAAA"),
+            mangled(("microarch_values",), [1, 2]),
+            mangled(("cycles",), None),
+        ]
+        for bad in bad_blobs:
+            with pytest.raises(ValueError):
+                HardwareSnapshot.from_bytes(bad)
 
     def test_wrong_core_rejected(self):
         snapshot = HardwareSnapshot.capture(RocketCore())
