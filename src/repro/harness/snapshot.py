@@ -21,21 +21,21 @@ from repro.ref.memory import PAGE_SIZE
 SNAPSHOT_FORMAT_VERSION = 1
 
 
-def _int(value):
-    if type(value) is not int:
-        raise ValueError(f"expected an integer, got {value!r}")
+def _checked(value, kind):
+    if type(value) is not kind:
+        raise ValueError(f"expected {kind.__name__}, got {value!r}")
     return value
 
 
 def _int_list(values, length):
     if not isinstance(values, list) or len(values) != length:
         raise ValueError(f"expected a list of {length} integers")
-    return [_int(value) for value in values]
+    return [_checked(value, int) for value in values]
 
 
 def _int_values(mapping):
     """``{name: int}`` dict (microarch values, coverage counts)."""
-    return {name: _int(value) for name, value in mapping.items()}
+    return {name: _checked(value, int) for name, value in mapping.items()}
 
 
 def _page(text):
@@ -118,28 +118,25 @@ class HardwareSnapshot:
                     f"unsupported snapshot format {data['version']!r}")
             arch = data["arch_state"]
             reservation = arch["reservation"]
-            cycles = data["cycles"]
-            if type(cycles) not in (int, float):
-                raise ValueError(f"cycles must be a number, got {cycles!r}")
             return cls(
-                core_name=str(data["core_name"]),
-                cycles=float(cycles),
-                retired=_int(data["retired"]),
+                core_name=_checked(data["core_name"], str),
+                cycles=_checked(data["cycles"], float),
+                retired=_checked(data["retired"], int),
                 arch_state={
                     "xregs": _int_list(arch["xregs"], 32),
                     "fregs": _int_list(arch["fregs"], 32),
-                    "pc": _int(arch["pc"]),
-                    "csrs": {int(address): _int(value)
+                    "pc": _checked(arch["pc"], int),
+                    "csrs": {int(address): _checked(value, int)
                              for address, value in arch["csrs"].items()},
-                    "privilege": _int(arch["privilege"]),
+                    "privilege": _checked(arch["privilege"], int),
                     "reservation": (None if reservation is None
-                                    else _int(reservation)),
+                                    else _checked(reservation, int)),
                 },
                 memory_pages={int(index): _page(text)
                               for index, text in data["memory_pages"].items()},
                 microarch_values=_int_values(data["microarch_values"]),
                 coverage_counts=_int_values(data["coverage_counts"]),
-                annotation=str(data["annotation"]),
+                annotation=_checked(data["annotation"], str),
             )
         except (KeyError, TypeError, AttributeError) as error:
             raise ValueError(f"malformed HardwareSnapshot blob: {error!r}") from error

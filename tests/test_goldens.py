@@ -41,9 +41,10 @@ def _spec(fuzzer, core, style):
             .with_instrumentation(style=style))
 
 
-def _digest(session):
+def fingerprint(session):
+    """A session's observable behaviour as plain JSON data."""
     fuzzer = session.fuzzer
-    fingerprint = {
+    return {
         "coverage_series": session.coverage_series(),
         "history": session.history_dicts(),
         "lfsr": fuzzer.lfsr.state,
@@ -53,7 +54,11 @@ def _digest(session):
         "total_executed": session.total_executed,
         "total_generated": session.total_generated,
     }
-    text = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
+
+
+def _digest(session):
+    text = json.dumps(fingerprint(session), sort_keys=True,
+                      separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
 

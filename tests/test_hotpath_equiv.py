@@ -17,6 +17,7 @@ from repro.campaign.session import CampaignSession
 from repro.campaign.spec import CampaignSpec
 from repro.fuzzer.lfsr import Lfsr
 from repro.perf.evict import evict_half
+from tests.test_goldens import fingerprint
 
 CORES = ("rocket", "cva6", "boom")
 STYLES = ("optimized", "legacy")
@@ -27,19 +28,6 @@ def _spec(core, style):
             .with_fuzzer("turbofuzz", instructions_per_iteration=300)
             .with_core(core)
             .with_instrumentation(style=style))
-
-
-def _fingerprint(session):
-    """Everything the ISSUE's bit-identity clause names."""
-    return {
-        "coverage_series": session.coverage_series(),
-        "history": session.history_dicts(),
-        "lfsr": session.fuzzer.lfsr.state,
-        "corpus": session.fuzzer.corpus.state_dict(),
-        "counts": session.coverage.counts_by_module(),
-        "total_executed": session.total_executed,
-        "total_generated": session.total_generated,
-    }
 
 
 class TestObserverEquivalence:
@@ -53,7 +41,7 @@ class TestObserverEquivalence:
         reference.core.use_reference_observer(True)
         reference.run_iterations(6)
 
-        assert _fingerprint(fast) == _fingerprint(reference)
+        assert fingerprint(fast) == fingerprint(reference)
 
     def test_switching_mid_campaign_is_seamless(self):
         """Reference and fast paths interleave without divergence."""
@@ -64,7 +52,7 @@ class TestObserverEquivalence:
 
         fast = CampaignSession(_spec("rocket", "optimized"))
         fast.run_iterations(8)
-        assert _fingerprint(mixed) == _fingerprint(fast)
+        assert fingerprint(mixed) == fingerprint(fast)
 
     @pytest.mark.parametrize("core", CORES)
     def test_resume_from_checkpoint_matches_uninterrupted(self, core):
@@ -76,7 +64,7 @@ class TestObserverEquivalence:
         checkpoint = CampaignCheckpoint.capture(first_leg)
         resumed = CampaignCheckpoint.from_json(checkpoint.to_json()).restore()
         resumed.run_iterations(4)
-        assert _fingerprint(resumed) == _fingerprint(straight)
+        assert fingerprint(resumed) == fingerprint(straight)
 
     def test_resume_into_reference_observer_matches(self):
         """A checkpoint taken on the fast path resumes bit-identically
@@ -89,7 +77,7 @@ class TestObserverEquivalence:
         resumed = CampaignCheckpoint.capture(first_leg).restore()
         resumed.core.use_reference_observer(True)
         resumed.run_iterations(3)
-        assert _fingerprint(resumed) == _fingerprint(straight)
+        assert fingerprint(resumed) == fingerprint(straight)
 
 
 class TestLfsrBatchEquivalence:
