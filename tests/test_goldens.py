@@ -3,7 +3,9 @@
 Each case runs a small fixed campaign and compares a sha256 digest of
 its observable behaviour (coverage series, history, LFSR state, corpus,
 per-module coverage counts and instruction totals) with the digest
-committed in ``tests/data/goldens.json``.  A change to the execution,
+committed in ``tests/data/goldens.json``.  The corpus is read from the
+live seeds and blocks, not from a checkpoint, so a change of checkpoint
+encoding leaves the digests alone.  A change to the execution,
 generation or coverage paths must leave every digest unchanged.
 
 The goldens are regenerated only on purpose, never from pytest::
@@ -41,6 +43,34 @@ def _spec(fuzzer, core, style):
             .with_instrumentation(style=style))
 
 
+def _blocks_fingerprint(blocks):
+    return [[block.prime_name, block.cf_kind, block.target_block,
+             block.generated,
+             [[entry.word, entry.is_prime, entry.needs_target_patch,
+               entry.patch_kind] for entry in block.entries]]
+            for block in blocks]
+
+
+def _corpus_fingerprint(fuzzer):
+    """The corpus read field by field from the live objects, so the
+    digest locks what is stored, not how checkpoints encode it."""
+    corpus = getattr(fuzzer, "corpus", None)
+    if corpus is None:  # Cascade keeps no corpus
+        return None
+    if isinstance(corpus, list):  # DifuzzRTL's FIFO of block lists
+        return [_blocks_fingerprint(blocks) for blocks in corpus]
+    return {
+        "capacity": corpus.capacity,
+        "policy": corpus.policy,
+        "priority_prob": list(corpus.priority_prob),
+        "evictions": corpus.evictions,
+        "rejected": corpus.rejected,
+        "seeds": [[seed.coverage_increment, seed.born_iteration, seed.origin,
+                   seed.uses, _blocks_fingerprint(seed.blocks)]
+                  for seed in corpus.seeds],
+    }
+
+
 def fingerprint(session):
     """A session's observable behaviour as plain JSON data."""
     fuzzer = session.fuzzer
@@ -48,8 +78,7 @@ def fingerprint(session):
         "coverage_series": session.coverage_series(),
         "history": session.history_dicts(),
         "lfsr": fuzzer.lfsr.state,
-        # TurboFuzz's seed corpus, DifuzzRTL's FIFO; Cascade keeps none.
-        "corpus": fuzzer.state_dict().get("corpus"),
+        "corpus": _corpus_fingerprint(fuzzer),
         "counts": session.coverage.counts_by_module(),
         "total_executed": session.total_executed,
         "total_generated": session.total_generated,
