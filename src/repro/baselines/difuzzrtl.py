@@ -20,7 +20,9 @@ runs on the same DUT + instrumentation.
 
 from dataclasses import dataclass, field
 
-from repro.fuzzer.blocks import InstructionBlock, Iteration, StimulusEntry
+from repro.fuzzer.blocks import (
+    InstructionBlock, Iteration, StimulusEntry, blocks_from_state, blocks_state,
+)
 from repro.fuzzer.context import MemoryLayout
 from repro.fuzzer.instrlib import InstructionLibrary
 from repro.fuzzer.lfsr import Lfsr
@@ -212,20 +214,14 @@ class DifuzzRtlFuzzer:
             )
         return {
             "lfsr": self.lfsr.state_dict(),
-            "corpus": [[block.state_dict() for block in blocks]
-                       for blocks in self.corpus],
+            "corpus": [blocks_state(blocks) for blocks in self.corpus],
             "iterations": self.iterations,
             "library": self.library.state_dict(),
         }
 
     def load_state(self, state):
-        from repro.fuzzer.blocks import InstructionBlock
-
         self.lfsr.load_state(state["lfsr"])
-        self.corpus = [
-            [InstructionBlock.from_state(block) for block in blocks]
-            for blocks in state["corpus"]
-        ]
+        self.corpus = [blocks_from_state(blocks) for blocks in state["corpus"]]
         self.iterations = int(state["iterations"])
         if "library" in state:  # older checkpoints predate the library key
             self.library.load_state(state["library"])

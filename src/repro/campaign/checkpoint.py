@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.campaign.spec import CampaignSpec
 
-STATE_FORMAT_VERSION = 1
+STATE_FORMAT_VERSION = 2  # v2: column-wise corpus blocks
 
 
 class CheckpointError(ValueError):
@@ -76,20 +76,22 @@ class CampaignCheckpoint:
             raise CheckpointError(
                 f"checkpoint payload must be an object, got {type(data).__name__}"
             )
-        version = data.get("version", STATE_FORMAT_VERSION)
+        missing = [key for key in ("version", "spec", "state")
+                   if key not in data]
+        if missing:
+            raise CheckpointError(
+                f"checkpoint is missing required keys: {', '.join(missing)}"
+            )
+        version = data["version"]
         if not isinstance(version, int):
             raise CheckpointError(
                 f"checkpoint version must be an integer, got {version!r}"
             )
-        if version > STATE_FORMAT_VERSION:
+        if version != STATE_FORMAT_VERSION:
+            age = "newer" if version > STATE_FORMAT_VERSION else "older"
             raise CheckpointError(
-                f"checkpoint format v{version} is newer than this code "
-                f"(supports up to v{STATE_FORMAT_VERSION})"
-            )
-        missing = [key for key in ("spec", "state") if key not in data]
-        if missing:
-            raise CheckpointError(
-                f"checkpoint is missing required keys: {', '.join(missing)}"
+                f"checkpoint format v{version} is {age} than this code "
+                f"(reads only v{STATE_FORMAT_VERSION})"
             )
         return cls(spec=CampaignSpec.from_dict(data["spec"]),
                    state=data["state"], version=version,

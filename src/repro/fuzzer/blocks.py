@@ -29,18 +29,6 @@ class StimulusEntry:
     needs_target_patch: bool = False  # branch/jal imm patched at assembly
     patch_kind: str = ""  # "branch" | "jal" | "lui" | "addi"
 
-    def state_dict(self):
-        """JSON-round-trippable form (corpus checkpointing)."""
-        return {"word": self.word, "is_prime": self.is_prime,
-                "needs_target_patch": self.needs_target_patch,
-                "patch_kind": self.patch_kind}
-
-    @classmethod
-    def from_state(cls, state):
-        return cls(int(state["word"]), bool(state["is_prime"]),
-                   bool(state["needs_target_patch"]),
-                   str(state["patch_kind"]))
-
 
 @dataclass(slots=True)
 class InstructionBlock:
@@ -65,28 +53,6 @@ class InstructionBlock:
     def is_control_flow(self):
         return bool(self.cf_kind)
 
-    def state_dict(self):
-        """JSON-round-trippable form (corpus checkpointing)."""
-        return {
-            "prime_name": self.prime_name,
-            "entries": [entry.state_dict() for entry in self.entries],
-            "cf_kind": self.cf_kind,
-            "target_block": self.target_block,
-            "generated": self.generated,
-        }
-
-    @classmethod
-    def from_state(cls, state):
-        target = state["target_block"]
-        return cls(
-            prime_name=str(state["prime_name"]),
-            entries=[StimulusEntry.from_state(entry)
-                     for entry in state["entries"]],
-            cf_kind=str(state["cf_kind"]),
-            target_block=None if target is None else int(target),
-            generated=bool(state["generated"]),
-        )
-
     def clone(self, generated=None):
         """Deep copy (mutation retains blocks by copying them)."""
         return InstructionBlock(
@@ -102,6 +68,61 @@ class InstructionBlock:
             target_block=self.target_block,
             generated=self.generated if generated is None else generated,
         )
+
+
+# Column codes for corpus checkpoints.  A block's cf_kind is one character;
+# an entry's flag character is _FLAG_CHARS[4 * patch kind + 2 * is_prime
+# + needs_target_patch], with patch kinds indexed as in _PATCH_KINDS.
+_CF_CODES = {"": ".", "branch": "b", "jal": "j", "jalr": "r"}
+_CF_KINDS = {code: kind for kind, code in _CF_CODES.items()}
+_PATCH_KINDS = ("", "branch", "jal", "lui", "addi")
+_FLAG_CHARS = "abcdefghijklmnopqrst"
+_FLAG_CODES = {(prime, patch, kind): _FLAG_CHARS[4 * index + 2 * prime + patch]
+               for index, kind in enumerate(_PATCH_KINDS)
+               for prime in (False, True) for patch in (False, True)}
+_FLAGS = {code: fields for fields, code in _FLAG_CODES.items()}
+
+
+def blocks_state(blocks):
+    """JSON-round-trippable column form of a block list (corpus
+    checkpointing): one list or string per field, entries flattened."""
+    entries = [entry for block in blocks for entry in block.entries]
+    return {
+        "prime_name": [block.prime_name for block in blocks],
+        "cf_kind": "".join([_CF_CODES[block.cf_kind] for block in blocks]),
+        "target_block": [block.target_block for block in blocks],
+        "generated": "".join(["1" if block.generated else "0"
+                              for block in blocks]),
+        "sizes": [len(block.entries) for block in blocks],
+        "words": [entry.word for entry in entries],
+        "flags": "".join([_FLAG_CODES[entry.is_prime, entry.needs_target_patch,
+                                      entry.patch_kind] for entry in entries]),
+    }
+
+
+def blocks_from_state(state):
+    """Inverse of :func:`blocks_state`; raises ``ValueError`` on columns
+    whose lengths disagree or on an unknown code."""
+    sizes, words, flags = state["sizes"], state["words"], state["flags"]
+    if not set(flags) <= _FLAGS.keys() or not set(state["cf_kind"]) <= _CF_KINDS.keys():
+        raise ValueError("unknown flag or cf_kind code in block columns")
+    if not set(state["generated"]) <= {"0", "1"}:
+        raise ValueError("generated column must hold only '0' and '1'")
+    if any(size < 0 for size in sizes) or sum(sizes) != len(words):
+        raise ValueError(f"block sizes cover {sum(sizes)} entries, "
+                         f"got {len(words)} words")
+    entries = [StimulusEntry(word, *_FLAGS[flag])
+               for word, flag in zip(words, flags, strict=True)]
+    blocks = []
+    start = 0
+    for name, kind, target, generated, size in zip(
+            state["prime_name"], state["cf_kind"], state["target_block"],
+            state["generated"], sizes, strict=True):
+        end = start + size
+        blocks.append(InstructionBlock(name, entries[start:end], _CF_KINDS[kind],
+                                       target, generated == "1"))
+        start = end
+    return blocks
 
 
 @dataclass

@@ -14,6 +14,8 @@ The FIFO policy is kept as the baseline for the Fig. 9 experiment.
 
 import itertools
 
+from repro.fuzzer.blocks import blocks_from_state, blocks_state
+
 _seed_ids = itertools.count()
 
 
@@ -53,7 +55,7 @@ class Seed:
         it — a restored seed gets a fresh id.
         """
         return {
-            "blocks": [block.state_dict() for block in self.blocks],
+            "blocks": blocks_state(self.blocks),
             "coverage_increment": self.coverage_increment,
             "born_iteration": self.born_iteration,
             "origin": self.origin,
@@ -62,10 +64,8 @@ class Seed:
 
     @classmethod
     def from_state(cls, state):
-        from repro.fuzzer.blocks import InstructionBlock
-
         seed = cls(
-            [InstructionBlock.from_state(block) for block in state["blocks"]],
+            blocks_from_state(state["blocks"]),
             coverage_increment=state["coverage_increment"],
             born_iteration=int(state["born_iteration"]),
             origin=str(state["origin"]),

@@ -3,10 +3,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.campaign import (
     BACKENDS,
     CampaignCheckpoint,
+    CheckpointError,
     CampaignOrchestrator,
     CampaignSpec,
     ProcessPoolBackend,
@@ -20,6 +22,12 @@ from repro.campaign import (
     resume_session,
 )
 from repro.coverage import CoverageMap, FeedbackWeights
+from repro.fuzzer.blocks import (
+    InstructionBlock,
+    StimulusEntry,
+    blocks_from_state,
+    blocks_state,
+)
 from repro.fuzzer.corpus import Corpus, Seed
 from repro.fuzzer.lfsr import Lfsr
 from repro.harness.clock import VirtualClock
@@ -123,6 +131,97 @@ class TestComponentStateDicts:
                                 "total_generated": 0, "fuzzer": {}})
 
 
+PATCH_KINDS = ("", "branch", "jal", "lui", "addi")
+CF_KINDS = ("", "branch", "jal", "jalr")
+
+entry_strategy = st.builds(
+    StimulusEntry,
+    word=st.integers(min_value=0, max_value=(1 << 32) - 1),
+    is_prime=st.booleans(),
+    needs_target_patch=st.booleans(),
+    patch_kind=st.sampled_from(PATCH_KINDS),
+)
+block_strategy = st.builds(
+    InstructionBlock,
+    prime_name=st.sampled_from(("addi", "beq", "jal", "jalr", "lw", "amoadd.w")),
+    entries=st.lists(entry_strategy, max_size=4),
+    cf_kind=st.sampled_from(CF_KINDS),
+    target_block=st.none() | st.integers(min_value=0, max_value=1 << 20),
+    generated=st.booleans(),
+)
+
+
+def every_flag_blocks():
+    """One block per cf_kind; together they hold every entry flag."""
+    entries = [StimulusEntry(index, is_prime, patch, kind)
+               for index, (kind, is_prime, patch) in enumerate(
+                   (kind, is_prime, patch) for kind in PATCH_KINDS
+                   for is_prime in (False, True) for patch in (False, True))]
+    return [InstructionBlock("jalr", entries[:7], "jalr", 3),
+            InstructionBlock("beq", entries[7:14], "branch", None, False),
+            InstructionBlock("addi", [], ""),
+            InstructionBlock("jal", entries[14:], "jal", 0)]
+
+
+def _drop_last(key):
+    def mutate(state):
+        state[key] = state[key][:-1]
+    return mutate
+
+
+def _set(key, value):
+    def mutate(state):
+        state[key] = value
+    return mutate
+
+
+class TestBlockColumns:
+    def test_every_flag_and_cf_kind_round_trips(self):
+        blocks = every_flag_blocks()
+        state = json_round_trip(blocks_state(blocks))
+        assert len(set(state["flags"])) == 20
+        assert blocks_from_state(state) == blocks
+
+    @given(blocks=st.lists(block_strategy, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_property(self, blocks):
+        assert blocks_from_state(json_round_trip(blocks_state(blocks))) == blocks
+
+    @pytest.mark.parametrize("mutate", [
+        _drop_last("prime_name"),
+        _drop_last("cf_kind"),
+        _drop_last("target_block"),
+        _drop_last("generated"),
+        _drop_last("sizes"),
+        _drop_last("words"),
+        _drop_last("flags"),
+        _set("sizes", [7, 7, 1, 6]),
+        _set("sizes", [-1, 15, 0, 6]),
+        _set("flags", "?" * 20),
+        _set("cf_kind", "rb.x"),
+        _set("generated", "10yy"),
+    ], ids=["prime_name", "cf_kind", "target_block", "generated", "sizes",
+            "words", "flags", "size_sum", "negative_size", "flag_code",
+            "cf_kind_code", "generated_code"])
+    def test_malformed_columns_rejected(self, mutate):
+        state = json_round_trip(blocks_state(every_flag_blocks()))
+        mutate(state)
+        with pytest.raises(ValueError):
+            blocks_from_state(state)
+
+    def test_corpus_costs_at_most_40_bytes_per_instruction(self):
+        # Per-entry dicts cost 170 B per stored instruction; the columns
+        # cost about 30 B.
+        session = build_session(CampaignSpec().with_fuzzer(
+            "turbofuzz", instructions_per_iteration=1000, seed=1))
+        session.run_iterations(6)
+        stored = sum(seed.size for seed in session.fuzzer.corpus.seeds)
+        encoded = json.dumps(session.fuzzer.state_dict()["corpus"],
+                             sort_keys=True)
+        assert stored > 0
+        assert len(encoded) <= 40 * stored
+
+
 class TestSessionResume:
     @pytest.mark.parametrize("seed", (0xFEED, 0xBEEF, 7))
     def test_resume_equals_uninterrupted_turbofuzz(self, seed):
@@ -181,6 +280,13 @@ class TestSessionResume:
         data = CampaignCheckpoint.capture(session).to_dict()
         data["version"] = 999
         with pytest.raises(ValueError, match="newer"):
+            CampaignCheckpoint.from_dict(data)
+
+    def test_older_format_version_rejected(self):
+        session = build_session(small_spec())
+        data = CampaignCheckpoint.capture(session).to_dict()
+        data["version"] = 1  # per-entry dict corpus, no longer read
+        with pytest.raises(CheckpointError, match="v1 is older"):
             CampaignCheckpoint.from_dict(data)
 
     def test_checkpoint_rejects_mismatched_design(self):
