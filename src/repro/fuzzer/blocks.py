@@ -104,10 +104,9 @@ def blocks_from_state(state):
     """Inverse of :func:`blocks_state`; raises ``ValueError`` on columns
     whose lengths disagree or on an unknown code."""
     sizes, words, flags = state["sizes"], state["words"], state["flags"]
-    if not set(flags) <= _FLAGS.keys() or not set(state["cf_kind"]) <= _CF_KINDS.keys():
-        raise ValueError("unknown flag or cf_kind code in block columns")
-    if not set(state["generated"]) <= {"0", "1"}:
-        raise ValueError("generated column must hold only '0' and '1'")
+    if (not set(flags) <= _FLAGS.keys() or not set(state["cf_kind"]) <= _CF_KINDS.keys()
+            or not set(state["generated"]) <= {"0", "1"}):
+        raise ValueError("unknown flag, cf_kind or generated code in block columns")
     if any(size < 0 for size in sizes) or sum(sizes) != len(words):
         raise ValueError(f"block sizes cover {sum(sizes)} entries, "
                          f"got {len(words)} words")

@@ -1,5 +1,6 @@
 """Checkpoint protocol + execution backends: bit-identical resume."""
 
+import itertools
 import json
 
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from repro.campaign import (
     BACKENDS,
     CampaignCheckpoint,
-    CheckpointError,
     CampaignOrchestrator,
     CampaignSpec,
+    CheckpointError,
     ProcessPoolBackend,
     SerialBackend,
     build_session,
@@ -153,10 +154,9 @@ block_strategy = st.builds(
 
 def every_flag_blocks():
     """One block per cf_kind; together they hold every entry flag."""
-    entries = [StimulusEntry(index, is_prime, patch, kind)
-               for index, (kind, is_prime, patch) in enumerate(
-                   (kind, is_prime, patch) for kind in PATCH_KINDS
-                   for is_prime in (False, True) for patch in (False, True))]
+    combos = itertools.product(PATCH_KINDS, (False, True), (False, True))
+    entries = [StimulusEntry(word, is_prime, patch, kind)
+               for word, (kind, is_prime, patch) in enumerate(combos)]
     return [InstructionBlock("jalr", entries[:7], "jalr", 3),
             InstructionBlock("beq", entries[7:14], "branch", None, False),
             InstructionBlock("addi", [], ""),
