@@ -6,12 +6,13 @@ probability, block-operation split).
 """
 
 from benchmarks.conftest import print_header, scaled
+from repro.campaign import CampaignSession
 from repro.fuzzer import TurboFuzzConfig
-from repro.harness import FuzzSession, SessionConfig
 
 
 def _coverage_with(config, iterations):
-    session = FuzzSession(SessionConfig(fuzzer_config=config))
+    session = CampaignSession(fuzzer_config=config,
+                              detection_seed=config.seed)
     session.run_iterations(iterations)
     mean_prevalence = sum(
         h.prevalence for h in session.history) / len(session.history)

@@ -1,13 +1,11 @@
-"""Execution-backend scaling: serial vs process-pool vs supervised queue.
+"""Execution-backend scaling: serial vs the supervised work queue.
 
 Not a paper figure: this benchmark guards the backend abstraction — the
-parallel backends must produce *bit-identical* per-shard reports while
-their wall-clock scales with worker count (on multi-core hosts; on a
-single core the checkpoint round-trips make them strictly slower, which
-the persisted JSON records honestly).  The supervised-queue column
-measures the fault-free **supervision tax** relative to the process
-pool: heartbeats, claim/result messaging, and the supervisor poll loop,
-with no faults injected.  Throughput is reported through the
+supervised queue must produce *bit-identical* per-shard reports while
+its wall-clock scales with worker count (on multi-core hosts; on a
+single core the checkpoint round-trips, heartbeats and claim/result
+messaging make it strictly slower, which the persisted JSON records
+honestly).  No faults are injected.  Throughput is reported through the
 ``repro.perf`` harness conventions (instructions/sec + iterations/sec,
 best-of-variant wall time) so the numbers line up with
 ``perf_baseline.json``.
@@ -20,7 +18,6 @@ from benchmarks.conftest import persist, print_header, scaled
 from repro.campaign import (
     CampaignOrchestrator,
     CampaignSpec,
-    ProcessPoolBackend,
     SupervisedQueueBackend,
 )
 
@@ -59,39 +56,29 @@ def _throughput(orchestrator, elapsed):
 def test_backend_scaling():
     iterations = scaled(15, 60)
     serial, serial_s = _timed_run("serial", iterations)
-    pool, pool_s = _timed_run(ProcessPoolBackend(), iterations)
     supervised, supervised_s = _timed_run(SupervisedQueueBackend(), iterations)
 
-    assert pool.coverage_series() == serial.coverage_series()
-    assert pool.shard_stats() == serial.shard_stats()
     assert supervised.coverage_series() == serial.coverage_series()
     assert supervised.shard_stats() == serial.shard_stats()
 
     serial_rate = _throughput(serial, serial_s)
-    pool_rate = _throughput(pool, pool_s)
     supervised_rate = _throughput(supervised, supervised_s)
     result = {
         "shards": len(serial.labels),
         "iterations_per_shard": iterations,
         "cpu_count": os.cpu_count(),
         "serial": serial_rate,
-        "process_pool": pool_rate,
         "supervised_queue": supervised_rate,
-        "speedup": serial_s / pool_s if pool_s else None,
-        # The supervision tax: fault-free supervised wall vs pool wall.
-        "supervision_overhead": (supervised_s / pool_s - 1.0) if pool_s else None,
+        "speedup": serial_s / supervised_s if supervised_s else None,
         "supervised_resilience": supervised.report().get("resilience"),
         "reports_identical": True,
         "serial_report": serial.report(),
     }
     persist("backend_scaling", result)
-    print_header(
-        "Backend scaling: serial vs process-pool vs supervised (2-shard grid)")
+    print_header("Backend scaling: serial vs supervised queue (2-shard grid)")
     print(f"cpu_count={result['cpu_count']}  "
           f"serial={serial_s:.2f}s ({serial_rate['instructions_per_sec']:.0f} instr/s)  "
-          f"pool={pool_s:.2f}s ({pool_rate['instructions_per_sec']:.0f} instr/s)  "
-          f"speedup={result['speedup']:.2f}x")
-    print(f"supervised={supervised_s:.2f}s "
+          f"supervised={supervised_s:.2f}s "
           f"({supervised_rate['instructions_per_sec']:.0f} instr/s)  "
-          f"supervision tax vs pool={result['supervision_overhead']:+.1%}")
+          f"speedup={result['speedup']:.2f}x")
     print("per-shard reports: identical (bit-for-bit)")

@@ -122,8 +122,7 @@ class CascadeFuzzer:
     def load_state(self, state):
         self.lfsr.load_state(state["lfsr"])
         self.iterations = int(state["iterations"])
-        if "library" in state:  # older checkpoints predate the library key
-            self.library.load_state(state["library"])
+        self.library.load_state(state["library"])
 
     def feedback(self, iteration, coverage_increment):
         """Cascade is not coverage-guided: feedback is discarded."""

@@ -223,6 +223,5 @@ class DifuzzRtlFuzzer:
         self.lfsr.load_state(state["lfsr"])
         self.corpus = [blocks_from_state(blocks) for blocks in state["corpus"]]
         self.iterations = int(state["iterations"])
-        if "library" in state:  # older checkpoints predate the library key
-            self.library.load_state(state["library"])
+        self.library.load_state(state["library"])
         self._pending = None

@@ -7,17 +7,17 @@ is unchanged, but the *mechanism* is now a backend behind the
 
 * :class:`SerialBackend` — the extracted in-process loops, behaviour
   identical to PR 1 bit for bit;
-* :class:`ProcessPoolBackend` — ships each shard to a worker process as a
-  :class:`~repro.campaign.checkpoint.CampaignCheckpoint`, runs the time
-  slice remotely, and merges the returned checkpoints back into the
+* :class:`SupervisedQueueBackend` — long-running worker processes
+  consuming shard-slice tasks from a multiprocessing queue.  Each shard
+  travels to a worker as a
+  :class:`~repro.campaign.checkpoint.CampaignCheckpoint`, runs its time
+  slice there, and comes back as a checkpoint that is merged into the
   orchestrator's sessions in deterministic label order at each slice
   frontier.  Shards share no mutable state, so per-shard results match
-  the serial backend bit for bit; only wall-clock changes.
-* :class:`SupervisedQueueBackend` — long-running worker processes
-  consuming shard-slice tasks from a multiprocessing queue, supervised
-  with heartbeats: a dead, hung, or silent worker is respawned and its
-  shard's last good checkpoint re-dispatched (idempotent — the re-run
-  slice merges bit-identically); a shard that keeps failing is
+  the serial backend bit for bit; only wall-clock changes.  Workers are
+  supervised with heartbeats: a dead, hung, or silent worker is respawned
+  and its shard's last good checkpoint re-dispatched (idempotent — the
+  re-run slice merges bit-identically); a shard that keeps failing is
   quarantined instead of aborting the grid; when workers cannot be
   (re)spawned at all the supervisor degrades to in-process execution.
   Workers forward session events over a relay queue, so grid-wide
@@ -25,15 +25,13 @@ is unchanged, but the *mechanism* is now a backend behind the
   (re-emitted with ``remote=True``, ``shard=<label>``, and JSON-shaped
   payloads — see :mod:`repro.campaign.queue_worker`).
 
-Both parallel backends share one recovery code path
-(:class:`~repro.campaign.resilience.ShardRecovery` driven by a
-:class:`~repro.campaign.resilience.FaultPolicy`) and accept a
-:class:`~repro.campaign.resilience.FaultInjector` for reproducible chaos
-testing.  With the pool backend, per-iteration events stay on the
-worker's private bus (no relay); custom fuzzers/cores/instrumentations
-registered by the parent are visible to workers on fork-capable
-platforms (Linux); on spawn-only platforms workers know the built-ins
-plus whatever registers at import time.
+Recovery runs through :class:`~repro.campaign.resilience.ShardRecovery`
+driven by a :class:`~repro.campaign.resilience.FaultPolicy`, and a
+:class:`~repro.campaign.resilience.FaultInjector` makes chaos testing
+reproducible.  Custom fuzzers/cores/instrumentations registered by the
+parent are visible to workers on fork-capable platforms (Linux); on
+spawn-only platforms workers know the built-ins plus whatever registers
+at import time.
 """
 
 import os
@@ -90,18 +88,11 @@ def _slice_frontiers(budget_seconds, slices):
     ]
 
 
-def _shard_health(orchestrator):
-    """The orchestrator's shard-health mapping (tolerates bare test
-    doubles that predate it)."""
-    return getattr(orchestrator, "shard_health", None)
-
-
 def _eligible(orchestrator, frontier, max_iterations):
     """(label, shard_index, session) triples that still need this slice."""
-    health = _shard_health(orchestrator) or {}
     rows = []
     for shard_index, (label, session) in enumerate(orchestrator.sessions.items()):
-        if health.get(label) == "quarantined":
+        if orchestrator.shard_health.get(label) == "quarantined":
             continue
         if frontier is not None and session.clock.seconds >= frontier:
             continue  # already past: the worker would no-op
@@ -163,223 +154,13 @@ class SerialBackend(ExecutionBackend):
                                        shard=label, session=session)
 
 
-def _preferred_context(mp_context):
+def _preferred_context():
     """Fork where available: workers inherit third-party registry
     entries (custom fuzzers/cores/instrumentations)."""
-    if mp_context is not None:
-        return mp_context
     import multiprocessing
 
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else None)
-
-
-# ---------------------------------------------------------------------------
-# Process-pool backend
-# ---------------------------------------------------------------------------
-# One instrumentation cache per worker process: checkpoints restored for
-# successive time slices of the same grid rebuild identical layouts, and
-# layouts are read-only after construction (the same sharing property the
-# orchestrator's own cache relies on).
-_worker_cache = None
-
-
-def _advance_shard(task):
-    """Pool worker entry point: task in, advanced-checkpoint JSON out.
-
-    Runs in a separate process; everything crossing the boundary is plain
-    JSON-shaped data, so results cannot depend on pickling object graphs.
-    Injected-fault directives are honoured at their stages (a pre-stage
-    ``kill-worker`` hard-exits here, which the parent sees as a broken
-    pool); a dropped result is reported as ``{"dropped": True}`` — the
-    pool-shaped analogue of silence, since a future must resolve.
-    """
-    global _worker_cache
-    if _worker_cache is None:
-        from repro.campaign.cache import InstrumentationCache
-
-        _worker_cache = InstrumentationCache()
-    from repro.campaign.resilience import apply_fault_directives
-
-    context = {"task": task, "drop": False, "checkpoint_json": None}
-    directives = task.get("faults") or ()
-    apply_fault_directives(directives, "pre", context)
-    context["checkpoint_json"] = execute_task(task, cache=_worker_cache)
-    apply_fault_directives(directives, "post", context)
-    apply_fault_directives(directives, "result", context)
-    if context["drop"]:
-        return {"dropped": True}
-    return {"checkpoint_json": context["checkpoint_json"]}
-
-
-@register_backend("process-pool")
-class ProcessPoolBackend(ExecutionBackend):
-    """Advance shards in worker processes, merging at slice frontiers.
-
-    Each shard travels as a ``(spec, state)`` checkpoint; the worker
-    restores it, runs the slice, and returns the advanced checkpoint.
-    Results are merged back into the orchestrator's sessions in label
-    order, so reports, coverage series, and bus-milestone ordering are
-    deterministic regardless of worker completion order.
-
-    Failure handling shares the supervised backend's recovery path: a
-    slice that times out (``policy.slice_timeout_s``), returns a corrupt
-    checkpoint, or dies with its worker is re-dispatched from the same
-    last-good checkpoint with deterministic backoff, up to
-    ``policy.max_retries`` — then the shard is quarantined and the rest
-    of the grid continues.  A broken pool is rebuilt in place.
-    """
-
-    name = "process-pool"
-
-    def __init__(self, processes=None, mp_context=None, policy=None,
-                 injector=None):
-        self.processes = processes
-        self._mp_context = mp_context
-        self.policy = policy or FaultPolicy()
-        self.injector = injector
-        self._recovery = None
-
-    def resilience_stats(self):
-        """Retry/quarantine counters of the most recent run (None before
-        any run); surfaced by ``orchestrator.report()``."""
-        if self._recovery is None:
-            return None
-        stats = self._recovery.stats()
-        if self.injector is not None:
-            stats["faults"] = self.injector.stats()
-        return stats
-
-    def _make_pool(self, shard_count):
-        from concurrent.futures import ProcessPoolExecutor
-
-        context = _preferred_context(self._mp_context)
-        workers = self.processes or min(shard_count,
-                                        max(1, os.cpu_count() or 1))
-        return ProcessPoolExecutor(max_workers=max(1, workers),
-                                   mp_context=context)
-
-    def _dispatch_and_merge(self, orchestrator, pool, tasks, recovery,
-                            slice_index):
-        """Submit one task per shard; retry/quarantine failures; merge
-        survivors in label order.  Returns the (possibly rebuilt) pool."""
-        from concurrent.futures.process import BrokenProcessPool
-
-        pending = dict(tasks)
-        merged = {}
-        while pending:
-            submitted = {}
-            for label in sorted(pending):
-                task = dict(pending[label])
-                attempt = recovery.attempts_for(label, slice_index)
-                task["attempt"] = attempt
-                if self.injector is not None:
-                    faults = self.injector.faults_for(
-                        task["shard_index"], slice_index, attempt)
-                    if faults:
-                        task["faults"] = faults
-                        recovery.note("faults_injected", len(faults))
-                submitted[label] = pool.submit(_advance_shard, task)
-            failed = []
-            broken = False
-            for label in sorted(submitted):
-                future = submitted[label]
-                if broken:
-                    failed.append((label, "worker-lost"))
-                    continue
-                try:
-                    result = future.result(timeout=self.policy.slice_timeout_s)
-                    if result.get("dropped"):
-                        recovery.note("dropped_results")
-                        failed.append((label, "dropped-result"))
-                        continue
-                    advanced = CampaignCheckpoint.from_json(
-                        result["checkpoint_json"])
-                except CheckpointError:
-                    recovery.note("corrupt_checkpoints")
-                    failed.append((label, "corrupt-checkpoint"))
-                except TimeoutError:
-                    future.cancel()
-                    recovery.note("timeouts")
-                    failed.append((label, "timeout"))
-                except BrokenProcessPool:
-                    broken = True
-                    failed.append((label, "worker-lost"))
-                except Exception as exc:
-                    recovery.note("worker_errors")
-                    failed.append((label, f"worker-error: {exc}"))
-                else:
-                    merged[label] = advanced
-                    pending.pop(label)
-            if broken:
-                recovery.worker_lost(worker_id=None)
-                pool.shutdown(wait=False)
-                pool = self._make_pool(len(orchestrator.sessions))
-            for label, reason in failed:
-                task = pending.get(label)
-                if task is None:
-                    continue
-                action, backoff = recovery.record_failure(
-                    label, slice_index=slice_index,
-                    shard_index=task["shard_index"], reason=reason)
-                if action == ShardRecovery.QUARANTINE:
-                    pending.pop(label)
-                elif backoff:
-                    time.sleep(backoff)
-        for label in orchestrator.labels:
-            if label in merged:
-                orchestrator.sessions[label].load_state(merged[label].state)
-        return pool
-
-    def run_for_virtual_time(self, orchestrator, budget_seconds,
-                             max_iterations=None, slices=8):
-        frontiers = _slice_frontiers(budget_seconds, slices)
-        recovery = self._recovery = ShardRecovery(
-            self.policy, bus=orchestrator.bus,
-            health=_shard_health(orchestrator))
-        pool = self._make_pool(len(orchestrator.sessions))
-        try:
-            for step, frontier in enumerate(frontiers, start=1):
-                tasks = {
-                    label: _make_task(label, shard_index, session,
-                                      "run_for_virtual_time",
-                                      frontier=frontier,
-                                      max_iterations=max_iterations)
-                    for label, shard_index, session in _eligible(
-                        orchestrator, frontier, max_iterations)
-                }
-                pool = self._dispatch_and_merge(orchestrator, pool, tasks,
-                                                recovery, step - 1)
-                orchestrator.bus.milestone(
-                    "time_slice", orchestrator=orchestrator,
-                    frontier=frontier, step=step, slices=len(frontiers))
-        finally:
-            pool.shutdown()
-        for label, session in orchestrator.sessions.items():
-            orchestrator.bus.milestone("shard_done", orchestrator=orchestrator,
-                                       shard=label, session=session)
-
-    def run_iterations(self, orchestrator, count, batch=16):
-        # Round-robin batching only matters for event interleaving inside
-        # one process; across processes each shard runs its full budget in
-        # one dispatch (identical results, one checkpoint round-trip).
-        recovery = self._recovery = ShardRecovery(
-            self.policy, bus=orchestrator.bus,
-            health=_shard_health(orchestrator))
-        pool = self._make_pool(len(orchestrator.sessions))
-        try:
-            tasks = {
-                label: _make_task(label, shard_index, session,
-                                  "run_iterations", count=count)
-                for label, shard_index, session in _eligible(
-                    orchestrator, None, None)
-            }
-            self._dispatch_and_merge(orchestrator, pool, tasks, recovery, 0)
-        finally:
-            pool.shutdown()
-        for label, session in orchestrator.sessions.items():
-            orchestrator.bus.milestone("shard_done", orchestrator=orchestrator,
-                                       shard=label, session=session)
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +169,16 @@ class ProcessPoolBackend(ExecutionBackend):
 class _Supervisor:
     """One backend run's worker fleet, queues, and supervision loop.
 
+    Every worker has its own task queue, and the supervisor hands a task
+    to a worker only when that worker is idle.  A worker it terminates
+    can therefore hold no lock that a surviving worker needs: a process
+    killed while blocked reading a *shared* queue would keep that
+    queue's read lock forever and wedge every other worker.
+
     The failure/recovery state machine per task: *dispatched* →
-    *claimed* (worker announced pickup) → *result* | *error* | *timeout*
-    | *worker lost*.  Every non-result outcome routes through
+    *assigned* (put on an idle worker's queue) → *claimed* (the worker
+    announced pickup) → *result* | *error* | *timeout* | *worker lost*.
+    Every non-result outcome routes through
     :meth:`ShardRecovery.record_failure`, which either re-dispatches the
     same last-good checkpoint (after deterministic backoff) or
     quarantines the shard.  Worker loss triggers a respawn; when the
@@ -408,19 +196,19 @@ class _Supervisor:
         self.policy = backend.policy
         self.injector = backend.injector
         self.recovery = ShardRecovery(self.policy, bus=orchestrator.bus,
-                                      health=_shard_health(orchestrator))
+                                      health=orchestrator.shard_health)
         self.inline = False
         self._context = None
         self._workers = {}     # worker_id -> Process
         self._last_beat = {}   # worker_id -> monotonic seconds
-        self._claims = {}      # worker_id -> task_id
+        self._inboxes = {}     # worker_id -> that worker's task queue
+        self._assigned = {}    # worker_id -> task_id it is working on
         self._stale = set()    # task_ids whose late results must be ignored
         self._next_task_id = 0
         self._next_worker_id = 0
         self._respawns = 0
         try:
-            context = _preferred_context(backend._mp_context)
-            self.task_queue = context.Queue()
+            context = _preferred_context()
             self.result_queue = context.Queue()
             self.relay_queue = context.Queue(maxsize=4096)
             self._context = context
@@ -441,10 +229,10 @@ class _Supervisor:
     def _spawn_worker(self):
         try:
             worker_id = self._next_worker_id
+            inbox = self._context.Queue()
             process = self._context.Process(
                 target=worker_main,
-                args=(worker_id, self.task_queue, self.result_queue,
-                      self.relay_queue),
+                args=(worker_id, inbox, self.result_queue, self.relay_queue),
                 kwargs={"heartbeat_interval_s":
                         self.policy.heartbeat_interval_s},
                 daemon=True, name=f"campaign-worker-{worker_id}")
@@ -454,6 +242,7 @@ class _Supervisor:
             return False
         self._next_worker_id = worker_id + 1
         self._workers[worker_id] = process
+        self._inboxes[worker_id] = inbox
         self._last_beat[worker_id] = time.monotonic()
         self.recovery.note("spawns")
         return True
@@ -500,8 +289,22 @@ class _Supervisor:
                 task["faults"] = faults
                 self.recovery.note("faults_injected", len(faults))
         pending[task_id] = {"task": task, "worker": None, "claimed_at": None,
-                            "enqueued_at": time.monotonic()}
-        self.task_queue.put(task)
+                            "assigned_at": None}
+
+    def _assign(self, pending):
+        """Hand unassigned tasks, in dispatch order, to idle workers."""
+        idle = [worker_id for worker_id in sorted(self._workers)
+                if worker_id not in self._assigned]
+        for task_id, record in sorted(pending.items()):
+            if not idle:
+                return
+            if record["worker"] is not None:
+                continue
+            worker_id = idle.pop(0)
+            record["worker"] = worker_id
+            record["assigned_at"] = time.monotonic()
+            self._assigned[worker_id] = task_id
+            self._inboxes[worker_id].put(record["task"])
 
     def _fail_task(self, task_id, pending, delayed, slice_index, reason):
         record = pending.pop(task_id, None)
@@ -518,23 +321,18 @@ class _Supervisor:
         attempt = self.recovery.attempts_for(label, slice_index)
         delayed.append([time.monotonic() + backoff, task, attempt])
 
-    def _requeue_unclaimed(self, pending, delayed, slice_index):
-        """A worker died before claiming: any unclaimed task *might* have
-        died with it (its claim message can be lost in the queue's feeder
-        thread).  Re-dispatch them all without charging failures —
-        re-running a slice is idempotent, so the worst case of a false
-        suspicion is one wasted duplicate whose late twin is ignored."""
-        for task_id, record in sorted(pending.items()):
-            if record["worker"] is not None:
-                continue
-            pending.pop(task_id)
-            self._stale.add(task_id)
-            task = record["task"]
-            self.recovery.requeue(task["label"], slice_index,
-                                  "worker-lost-unclaimed")
-            # attempt+1 suppresses first-attempt fault injection: the
-            # directive that killed the worker must not fire forever.
-            delayed.append([time.monotonic(), task, task["attempt"] + 1])
+    def _requeue_unclaimed(self, task_id, pending, delayed, slice_index):
+        """The worker died before claiming its task: the task never
+        started, so re-dispatch it without charging the shard a
+        failure."""
+        record = pending.pop(task_id)
+        self._stale.add(task_id)
+        task = record["task"]
+        self.recovery.requeue(task["label"], slice_index,
+                              "worker-lost-unclaimed")
+        # attempt+1 suppresses first-attempt fault injection: the
+        # directive that killed the worker must not fire forever.
+        delayed.append([time.monotonic(), task, task["attempt"] + 1])
 
     # -- supervision loop -------------------------------------------------------
     def execute_slice(self, slice_index, templates):
@@ -574,6 +372,7 @@ class _Supervisor:
                 delayed[:] = [entry for entry in delayed if now < entry[0]]
                 for _, task, attempt in ready:
                     self._dispatch(task, slice_index, attempt, pending)
+            self._assign(pending)
             self._drain_relay()
             self._pump_results(pending, delayed, results, slice_index)
             self._reap_workers(pending, delayed, slice_index)
@@ -633,16 +432,15 @@ class _Supervisor:
         task_id = message.get("task_id")
         if mtype == "claim":
             record = pending.get(task_id)
-            if record is not None:
-                record["worker"] = worker_id
+            if record is not None and record["worker"] == worker_id:
                 record["claimed_at"] = time.monotonic()
-                self._claims[worker_id] = task_id
             return
+        if self._assigned.get(worker_id) == task_id:
+            self._assigned.pop(worker_id)  # the worker is idle again
+            self._assign(pending)  # before decoding: keep the worker busy
         if task_id in self._stale or task_id not in pending:
             return  # late twin of a re-dispatched task; merges are idempotent
         record = pending[task_id]
-        if self._claims.get(record["worker"]) == task_id:
-            self._claims.pop(record["worker"], None)
         if mtype == "result":
             try:
                 advanced = CampaignCheckpoint.from_json(
@@ -660,6 +458,12 @@ class _Supervisor:
                             message.get("error", "worker-error"))
 
     # -- liveness ---------------------------------------------------------------
+    def _terminate(self, worker_id):
+        """Stop a worker; it takes no new task before the reaper sees it
+        exit (and fails whatever task it still holds)."""
+        self._assigned.setdefault(worker_id, None)
+        self._workers[worker_id].terminate()
+
     def _reap_workers(self, pending, delayed, slice_index):
         for worker_id, process in list(self._workers.items()):
             if process.is_alive():
@@ -667,19 +471,20 @@ class _Supervisor:
             process.join(timeout=0)
             self._workers.pop(worker_id)
             self._last_beat.pop(worker_id, None)
-            task_id = self._claims.pop(worker_id, None)
-            label = None
-            if task_id in pending:
-                label = pending[task_id]["task"]["label"]
+            self._close(self._inboxes.pop(worker_id))
+            task_id = self._assigned.pop(worker_id, None)
+            record = pending.get(task_id)
+            label = record["task"]["label"] if record else None
             self.recovery.worker_lost(worker_id, label=label,
                                       exit_code=process.exitcode)
-            if task_id is not None and task_id in pending:
+            if record is None:
+                continue
+            if record["claimed_at"] is None:
+                self._requeue_unclaimed(task_id, pending, delayed,
+                                        slice_index)
+            else:
                 self._fail_task(task_id, pending, delayed, slice_index,
                                 "worker-lost")
-            else:
-                # Died between picking a task up and claiming it: the
-                # task may be gone from the queue with nobody to run it.
-                self._requeue_unclaimed(pending, delayed, slice_index)
 
     def _check_heartbeats(self):
         """A worker silent past the heartbeat deadline is presumed wedged
@@ -694,21 +499,21 @@ class _Supervisor:
                 continue
             self.recovery.note("heartbeat_losses")
             self._last_beat.pop(worker_id, None)  # terminate exactly once
-            process.terminate()
+            self._terminate(worker_id)
 
     def _check_deadlines(self, pending, delayed, slice_index):
         now = time.monotonic()
         timeout = self.policy.slice_timeout_s
         for task_id, record in list(pending.items()):
-            started = record["claimed_at"] or record["enqueued_at"]
-            if now - started <= timeout:
-                continue
+            started = record["claimed_at"] or record["assigned_at"]
+            if started is None or now - started <= timeout:
+                continue  # unassigned tasks wait for an idle worker
             self.recovery.note("timeouts")
             worker_id = record["worker"]
-            if worker_id is not None and worker_id in self._workers:
+            if self._assigned.get(worker_id) == task_id:
                 # Whatever it is doing, it is not finishing this slice.
-                self._claims.pop(worker_id, None)
-                self._workers[worker_id].terminate()
+                self._assigned.pop(worker_id)
+                self._terminate(worker_id)
             self._fail_task(task_id, pending, delayed, slice_index, "timeout")
 
     # -- event relay ------------------------------------------------------------
@@ -729,11 +534,16 @@ class _Supervisor:
                      remote=True, **payload)
 
     # -- teardown ---------------------------------------------------------------
+    @staticmethod
+    def _close(mp_queue):
+        mp_queue.cancel_join_thread()
+        mp_queue.close()
+
     def shutdown(self):
         if self._context is None:
             return
-        for _ in self._workers:
-            self.task_queue.put(None)
+        for inbox in self._inboxes.values():
+            inbox.put(None)
         deadline = time.monotonic() + 5.0
         for process in self._workers.values():
             process.join(timeout=max(0.0, deadline - time.monotonic()))
@@ -743,10 +553,10 @@ class _Supervisor:
                 process.join(timeout=1.0)
         self._workers.clear()
         self._drain_relay()
-        for relay_queue in (self.task_queue, self.result_queue,
-                            self.relay_queue):
-            relay_queue.cancel_join_thread()
-            relay_queue.close()
+        for mp_queue in (*self._inboxes.values(), self.result_queue,
+                         self.relay_queue):
+            self._close(mp_queue)
+        self._inboxes.clear()
 
 
 @register_backend("supervised-queue")
@@ -759,21 +569,18 @@ class SupervisedQueueBackend(ExecutionBackend):
     re-dispatching the shard's last good checkpoint (bit-identical by
     construction), poison shards are quarantined instead of aborting the
     grid, and session events are relayed back so grid-wide subscribers
-    observe remote iterations.  ``relay_events`` selects which event
-    topics are forwarded (only topics with subscribers on the
-    orchestrator's bus at dispatch time are shipped)."""
+    observe remote iterations.  :attr:`RELAY_EVENTS` lists the event
+    topics that can be forwarded; only those with subscribers on the
+    orchestrator's bus at dispatch time are shipped."""
 
     name = "supervised-queue"
 
     RELAY_EVENTS = ("iteration", "new_coverage", "mismatch", "milestone")
 
-    def __init__(self, workers=None, policy=None, injector=None,
-                 mp_context=None, relay_events=RELAY_EVENTS):
+    def __init__(self, workers=None, policy=None, injector=None):
         self.workers = workers
         self.policy = policy or FaultPolicy()
         self.injector = injector
-        self._mp_context = mp_context
-        self.relay_events = tuple(relay_events)
         self._recovery = None
 
     def resilience_stats(self):
@@ -787,7 +594,7 @@ class SupervisedQueueBackend(ExecutionBackend):
         return stats
 
     def _relay_wanted(self, orchestrator):
-        return tuple(event for event in self.relay_events
+        return tuple(event for event in self.RELAY_EVENTS
                      if orchestrator.bus.has_subscribers(event))
 
     def run_for_virtual_time(self, orchestrator, budget_seconds,

@@ -10,7 +10,7 @@ boundary (the only state the session drivers expose); everything else
 (DUT core, runner, REF) is rebuilt per iteration and never crosses one.
 
 The same bundle is the unit of work the
-:class:`~repro.campaign.backends.ProcessPoolBackend` ships to worker
+:class:`~repro.campaign.backends.SupervisedQueueBackend` ships to worker
 processes: a shard travels to the worker as a checkpoint, runs its time
 slice there, and comes back as a checkpoint.
 """
@@ -98,7 +98,7 @@ class CampaignCheckpoint:
                    meta=dict(data.get("meta", {})))
 
     def to_json(self):
-        """Compact JSON string (the process-pool wire format)."""
+        """Compact JSON string (the worker-queue wire format)."""
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod

@@ -1,9 +1,10 @@
 """Supervised campaign workers: the process side of the work-queue backend.
 
-A worker is a **long-running** process (unlike the pool backend's
-stateless futures): it loops on a multiprocessing task queue, restores
-each shard-slice task from its checkpoint, runs the slice, and posts the
-advanced checkpoint back on the result queue.  Alongside the task loop:
+A worker is a **long-running** process: it loops on its own
+multiprocessing task queue (the supervisor puts a task there only while
+the worker is idle), restores each shard-slice task from its checkpoint,
+runs the slice, and posts the advanced checkpoint back on the shared
+result queue.  Alongside the task loop:
 
 * a daemon **heartbeat thread** posts liveness beats every
   ``heartbeat_interval_s`` even while the main thread is deep in a slice,
@@ -104,9 +105,9 @@ def execute_task(task, cache=None, relay_queue=None, bus=None):
     """Restore the shard from its checkpoint, run the slice, and return
     the advanced checkpoint as compact JSON.
 
-    Shared by worker processes, the pool backend's futures, and the
-    supervisor's degraded in-process fallback — one code path, so every
-    execution mode is bit-identical by construction.  ``bus`` overrides
+    Shared by worker processes and the supervisor's degraded in-process
+    fallback — one code path, so both execution modes are bit-identical
+    by construction.  ``bus`` overrides
     the private per-task bus (the inline fallback passes the
     orchestrator's bus so local subscribers see full-fidelity events)."""
     if bus is None:

@@ -6,9 +6,6 @@ A :class:`CampaignSession` resolves a declarative
 runner + virtual clock, and publishes its progress on an
 :class:`~repro.campaign.events.EventBus` — reporting, plotting, and bug
 triage subscribe instead of special-casing the driver loop.
-
-The legacy :class:`~repro.harness.session.FuzzSession` is now a thin
-compatibility shim over this class.
 """
 
 from dataclasses import dataclass
@@ -91,9 +88,9 @@ class CampaignSession:
     """A fuzzing campaign bound to one DUT and one fuzzer.
 
     Normally constructed from a spec (``CampaignSession(spec)`` or
-    :func:`build_session`); the keyword overrides exist for the
-    ``FuzzSession`` compatibility shim and for tests that inject prebuilt
-    components:
+    :func:`build_session`); the keyword overrides exist for callers
+    that inject prebuilt components (the software baselines, the
+    ablations, and tests):
 
     * ``fuzzer`` — a prebuilt fuzzer instance (skips registry lookup),
     * ``fuzzer_config`` — a prebuilt config for the plugin factory,
@@ -356,8 +353,8 @@ class CampaignSession:
             raise TypeError(
                 f"fuzzer {type(self.fuzzer).__name__!r} does not implement "
                 f"the checkpoint protocol ({method}()); checkpointing and "
-                "the process-pool backend require registered fuzzers to "
-                "provide state_dict()/load_state()"
+                "the supervised-queue backend require registered fuzzers "
+                "to provide state_dict()/load_state()"
             )
         return hook
 
@@ -404,9 +401,7 @@ class CampaignSession:
         self.clock.load_state(state["clock"])
         self._detection_seed = state["detection_seed"]
         self.detection_lfsr.load_state(state["detection_lfsr"])
-        # Absent in pre-PR-5 checkpoints (which only ever resumed
-        # correctly on predictor-less cores).
-        core_state = state.get("core")
+        core_state = state["core"]
         if core_state:
             self.core.load_core_state(core_state)
         triggered = getattr(self.core.hooks, "triggered", None)

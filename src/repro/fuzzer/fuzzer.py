@@ -216,11 +216,7 @@ class TurboFuzzer:
         self.lfsr.load_state(state["lfsr"])
         self.corpus.load_state(state["corpus"])
         self.stats.load_state(state["stats"])
-        # Older checkpoints predate the library key; they could only have
-        # been taken with the constructor-default extension set, which the
-        # fresh build already holds.
-        if "library" in state:
-            self.library.load_state(state["library"])
+        self.library.load_state(state["library"])
         self.persistent_data_patches = [
             (int(offset), bytes.fromhex(blob))
             for offset, blob in state["persistent_data_patches"]

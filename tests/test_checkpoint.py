@@ -1,5 +1,6 @@
 """Checkpoint protocol + execution backends: bit-identical resume."""
 
+import functools
 import itertools
 import json
 
@@ -12,8 +13,8 @@ from repro.campaign import (
     CampaignOrchestrator,
     CampaignSpec,
     CheckpointError,
-    ProcessPoolBackend,
     SerialBackend,
+    SupervisedQueueBackend,
     build_session,
     campaign_report,
     checkpoint_session,
@@ -32,6 +33,7 @@ from repro.fuzzer.blocks import (
 from repro.fuzzer.corpus import Corpus, Seed
 from repro.fuzzer.lfsr import Lfsr
 from repro.harness.clock import VirtualClock
+from tests.test_goldens import fingerprint
 
 SMALL = {"instructions_per_iteration": 150}
 
@@ -298,6 +300,34 @@ class TestSessionResume:
             boom.coverage.load_state(state["coverage"])
 
 
+RESUME_ITERATIONS = 8
+
+
+def resume_spec(fuzzer):
+    return CampaignSpec().with_fuzzer(fuzzer, instructions_per_iteration=200)
+
+
+@functools.lru_cache(maxsize=None)
+def uninterrupted_fingerprint(fuzzer):
+    session = build_session(resume_spec(fuzzer))
+    session.run_iterations(RESUME_ITERATIONS)
+    return json.dumps(fingerprint(session), sort_keys=True)
+
+
+class TestResumeAtRandomCut:
+    @pytest.mark.parametrize("fuzzer", ("turbofuzz", "difuzzrtl", "cascade"))
+    @given(cut=st.integers(min_value=0, max_value=RESUME_ITERATIONS - 1))
+    @settings(max_examples=6, deadline=None)
+    def test_resume_at_any_iteration_equals_uninterrupted(self, fuzzer, cut):
+        first_leg = build_session(resume_spec(fuzzer))
+        first_leg.run_iterations(cut)
+        wire = json_round_trip(CampaignCheckpoint.capture(first_leg).to_dict())
+        resumed = resume_session(wire)
+        resumed.run_iterations(RESUME_ITERATIONS - cut)
+        assert (json.dumps(fingerprint(resumed), sort_keys=True)
+                == uninterrupted_fingerprint(fuzzer))
+
+
 class TestBackends:
     def grid(self, backend=None):
         return CampaignOrchestrator(
@@ -308,12 +338,13 @@ class TestBackends:
     def test_registry_resolution(self):
         assert isinstance(resolve_backend(None), SerialBackend)
         assert isinstance(resolve_backend("serial"), SerialBackend)
-        assert isinstance(resolve_backend("process-pool"), ProcessPoolBackend)
-        backend = ProcessPoolBackend(processes=2)
+        assert isinstance(resolve_backend("supervised-queue"),
+                          SupervisedQueueBackend)
+        backend = SupervisedQueueBackend(workers=2)
         assert resolve_backend(backend) is backend
         with pytest.raises(ValueError, match="unknown execution backend"):
             resolve_backend("gpu")
-        assert set(BACKENDS.names()) >= {"serial", "process-pool"}
+        assert set(BACKENDS.names()) == {"serial", "supervised-queue"}
 
     def test_third_party_backend_plugs_in(self):
         calls = []
@@ -334,32 +365,33 @@ class TestBackends:
         finally:
             BACKENDS.unregister("probe")
 
-    def test_pool_matches_serial_run_iterations(self):
+    def test_supervised_matches_serial_run_iterations(self):
         serial = self.grid()
         serial.run_iterations(3)
-        pool = self.grid(backend=ProcessPoolBackend(processes=2))
-        pool.run_iterations(3)
-        assert pool.coverage_series() == serial.coverage_series()
-        assert pool.shard_stats() == serial.shard_stats()
-        assert pool.merged_coverage_series() == serial.merged_coverage_series()
+        supervised = self.grid(backend=SupervisedQueueBackend(workers=2))
+        supervised.run_iterations(3)
+        assert supervised.coverage_series() == serial.coverage_series()
+        assert supervised.shard_stats() == serial.shard_stats()
+        assert (supervised.merged_coverage_series()
+                == serial.merged_coverage_series())
         # Checkpoint *files* are deterministic too: freezing either grid
         # yields byte-identical JSON per shard.
         serial_wire = {label: cp.to_json()
                        for label, cp in serial.checkpoint().items()}
-        pool_wire = {label: cp.to_json()
-                     for label, cp in pool.checkpoint().items()}
-        assert serial_wire == pool_wire
+        supervised_wire = {label: cp.to_json()
+                           for label, cp in supervised.checkpoint().items()}
+        assert serial_wire == supervised_wire
 
-    def test_pool_matches_serial_virtual_time(self):
+    def test_supervised_matches_serial_virtual_time(self):
         serial = self.grid()
         serial.run_for_virtual_time(0.01, max_iterations=12, slices=3)
-        pool = self.grid(backend="process-pool")
-        pool.run_for_virtual_time(0.01, max_iterations=12, slices=3)
-        assert pool.coverage_series() == serial.coverage_series()
-        assert pool.shard_stats() == serial.shard_stats()
+        supervised = self.grid(backend="supervised-queue")
+        supervised.run_for_virtual_time(0.01, max_iterations=12, slices=3)
+        assert supervised.coverage_series() == serial.coverage_series()
+        assert supervised.shard_stats() == serial.shard_stats()
 
-    def test_pool_emits_orchestration_milestones(self):
-        grid = self.grid(backend=ProcessPoolBackend(processes=1))
+    def test_supervised_emits_orchestration_milestones(self):
+        grid = self.grid(backend=SupervisedQueueBackend(workers=1))
         kinds = []
         grid.bus.on_milestone(lambda **kw: kinds.append(kw["kind"]))
         grid.run_for_virtual_time(0.005, max_iterations=4, slices=2)
@@ -370,7 +402,7 @@ class TestBackends:
         serial = self.grid()
         serial.run_iterations(2)
         grid = self.grid()  # default serial...
-        grid.run_iterations(2, backend="process-pool")  # ...pool per call
+        grid.run_iterations(2, backend="supervised-queue")  # ...queue per call
         assert grid.coverage_series() == serial.coverage_series()
 
 
@@ -391,7 +423,7 @@ class TestOrchestratorResume:
         assert resumed.coverage_series() == full.coverage_series()
         assert resumed.shard_stats() == full.shard_stats()
 
-    def test_grid_resume_on_pool_backend(self):
+    def test_grid_resume_on_supervised_backend(self):
         specs = [small_spec(seed=seed).named(f"s{seed}") for seed in (4, 5)]
         full = CampaignOrchestrator(specs)
         full.run_for_virtual_time(0.01, max_iterations=10, slices=2)
@@ -399,7 +431,7 @@ class TestOrchestratorResume:
         half = CampaignOrchestrator(specs)
         half.run_for_virtual_time(0.005, max_iterations=10, slices=1)
         resumed = CampaignOrchestrator.from_checkpoints(
-            half.checkpoint(), backend="process-pool")
+            half.checkpoint(), backend="supervised-queue")
         resumed.run_for_virtual_time(0.01, max_iterations=10, slices=1)
 
         assert resumed.coverage_series() == full.coverage_series()
@@ -487,14 +519,13 @@ class TestInstructionLibraryCheckpoint:
         assert resumed.fuzzer.library.enabled_extensions == \
             half.fuzzer.library.enabled_extensions
 
-    def test_old_checkpoint_without_library_key_still_loads(self):
-        spec = small_spec(seed=5)
-        session = build_session(spec)
-        session.run_iterations(2)
-        state = json_round_trip(session.fuzzer.state_dict())
-        del state["library"]  # pre-library checkpoint shape
-        fresh = build_session(spec)
-        fresh.fuzzer.load_state(state)
-        assert fresh.fuzzer.lfsr.state == session.fuzzer.lfsr.state
-        assert fresh.fuzzer.library.enabled_extensions == \
-            session.fuzzer.library.enabled_extensions
+    @pytest.mark.parametrize("fuzzer", ("turbofuzz", "difuzzrtl", "cascade"))
+    def test_checkpoint_without_library_key_is_rejected(self, fuzzer):
+        # Format v2 always writes the library; a payload missing it must
+        # not resume silently with the default extension toggles.
+        session = build_session(CampaignSpec(fuzzer=fuzzer))
+        session.run_iterations(1)
+        payload = json_round_trip(CampaignCheckpoint.capture(session).to_dict())
+        del payload["state"]["fuzzer"]["library"]
+        with pytest.raises(KeyError, match="library"):
+            resume_session(payload)

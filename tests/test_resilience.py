@@ -19,7 +19,6 @@ from repro.campaign import (
     EventBus,
     FaultInjector,
     FaultPolicy,
-    ProcessPoolBackend,
     ShardRecovery,
     SupervisedQueueBackend,
     build_session,
@@ -369,54 +368,83 @@ class TestSupervisedQueueBackend:
         assert_bit_identical(serial, supervised)
 
 
-class TestProcessPoolRetrofit:
-    def test_corrupt_and_dropped_results_recover_bit_identically(self):
+class TestSupervisedFaultKinds:
+    """Every injectable fault kind recovers bit-identically on the
+    supervised queue.  The slice timeout has clear headroom over the
+    fault-free slice (well under a second here), so only the injected
+    fault can trip it."""
+
+    TIMEOUT_S = 3.0
+
+    def run_with(self, injector, **policy):
         specs = two_shard_specs()
-        serial = serial_reference(specs)
-        injector = FaultInjector(schedule=[("corrupt-checkpoint", 1, 0),
-                                           ("drop-result", 0, 0)])
-        pool = CampaignOrchestrator(
-            specs, backend=ProcessPoolBackend(
-                processes=2,
-                policy=FaultPolicy(slice_timeout_s=60.0, backoff_base_s=0.0),
+        supervised = CampaignOrchestrator(
+            specs, backend=SupervisedQueueBackend(
+                workers=2,
+                policy=FaultPolicy(slice_timeout_s=self.TIMEOUT_S,
+                                   backoff_base_s=0.0, **policy),
                 injector=injector))
-        pool.run_for_virtual_time(2.0, max_iterations=30, slices=2)
-        assert_bit_identical(serial, pool)
-        counters = pool.report()["resilience"]["counters"]
+        supervised.run_for_virtual_time(2.0, max_iterations=30, slices=2)
+        return serial_reference(specs), supervised
+
+    def test_corrupt_checkpoint_recovers_bit_identically(self):
+        serial, supervised = self.run_with(
+            FaultInjector(schedule=[("corrupt-checkpoint", 1, 0)]))
+        assert_bit_identical(serial, supervised)
+        counters = supervised.report()["resilience"]["counters"]
         assert counters["corrupt_checkpoints"] == 1
-        assert counters["dropped_results"] == 1
-        assert counters["redispatches"] == 2
+        assert counters["redispatches"] == 1
+        assert counters["timeouts"] == 0
 
-    def test_killed_worker_breaks_pool_but_run_recovers(self):
-        specs = two_shard_specs()
-        serial = serial_reference(specs)
-        injector = FaultInjector(schedule=[("kill-worker", 0, 0)])
-        pool = CampaignOrchestrator(
-            specs, backend=ProcessPoolBackend(
-                processes=2,
-                policy=FaultPolicy(slice_timeout_s=60.0, backoff_base_s=0.0),
-                injector=injector))
-        pool.run_for_virtual_time(2.0, max_iterations=30, slices=2)
-        assert_bit_identical(serial, pool)
-        counters = pool.report()["resilience"]["counters"]
-        assert counters["worker_losses"] > 0
-        assert counters["redispatches"] > 0
+    def test_dropped_result_recovers_at_the_slice_deadline(self):
+        # The worker sits idle after dropping its result and is then
+        # terminated; that must not wedge the surviving worker.
+        serial, supervised = self.run_with(
+            FaultInjector(schedule=[("drop-result", 0, 0)]))
+        assert_bit_identical(serial, supervised)
+        report = supervised.report()
+        counters = report["resilience"]["counters"]
+        assert counters["timeouts"] == 1
+        assert counters["redispatches"] == 1
+        assert counters["quarantines"] == 0
+        assert report["shard_health"] == {"a": "ok", "b": "ok"}
 
-    def test_poison_shard_quarantined_without_aborting_grid(self):
-        specs = two_shard_specs()
-        serial = serial_reference(specs)
-        injector = FaultInjector(schedule=[("corrupt-checkpoint", 0, 0)],
-                                 repeat=True)
-        pool = CampaignOrchestrator(
-            specs, backend=ProcessPoolBackend(
-                processes=2,
-                policy=FaultPolicy(slice_timeout_s=60.0, max_retries=1,
-                                   backoff_base_s=0.0),
-                injector=injector))
-        pool.run_for_virtual_time(2.0, max_iterations=30, slices=2)
-        report = pool.report()
+    def test_delayed_result_recovers_at_the_deadline(self):
+        # The stalled worker is terminated at the deadline, so its result
+        # never arrives; the re-dispatched twin's result is merged.
+        serial, supervised = self.run_with(FaultInjector(
+            schedule=[("delay-result", 1, 0)],
+            params={"delay-result": {"seconds": 4 * self.TIMEOUT_S}}))
+        assert_bit_identical(serial, supervised)
+        counters = supervised.report()["resilience"]["counters"]
+        assert counters["timeouts"] == 1
+        assert counters["redispatches"] == 1
+        assert counters["quarantines"] == 0
+
+    def test_result_of_a_redispatched_task_is_stale(self, monkeypatch):
+        # A result that arrives after its task timed out and was
+        # re-dispatched must not merge, count, or fail anything.
+        monkeypatch.setattr(_Supervisor, "_spawn_worker", lambda self: False)
+        orchestrator = CampaignOrchestrator(two_shard_specs())
+        supervisor = _Supervisor(SupervisedQueueBackend(), orchestrator)
+        pending, delayed, results = {}, [], {}
+        supervisor._stale.add(0)
+        supervisor._handle_message(
+            {"type": "result", "task_id": 0, "worker": 0,
+             "checkpoint_json": "{truncated"},
+            pending, delayed, results, 0)
+        supervisor.shutdown()
+        assert results == {} and delayed == []
+        assert supervisor.recovery.counters.corrupt_checkpoints == 0
+
+    def test_corrupt_poison_shard_is_quarantined(self):
+        serial, supervised = self.run_with(
+            FaultInjector(schedule=[("corrupt-checkpoint", 0, 0)],
+                          repeat=True),
+            max_retries=1)
+        report = supervised.report()
         assert report["shard_health"]["a"] == "quarantined"
-        assert pool.shard_stats()["b"] == serial.shard_stats()["b"]
+        assert supervised.shard_stats()["b"] == serial.shard_stats()["b"]
 
 
 class TestChaosDeterminism:
