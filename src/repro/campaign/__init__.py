@@ -14,8 +14,8 @@ This package turns the monolithic session factory into a layered API:
 * :class:`CampaignSession` / :func:`build_session` — spec -> running
   campaign (:mod:`repro.campaign.session`),
 * :class:`CampaignCheckpoint` — (spec, session state) bundles that
-  round-trip through JSON for preempt/resume and for shipping shards to
-  worker processes (:mod:`repro.campaign.checkpoint`),
+  round-trip through JSON for preempt/resume and as the supervised
+  workers' recovery point (:mod:`repro.campaign.checkpoint`),
 * :data:`BACKENDS` + :class:`SerialBackend` / :class:`SupervisedQueueBackend`
   — pluggable shard-execution mechanisms, the latter fault-tolerant with
   heartbeats, re-dispatch, and quarantine (:mod:`repro.campaign.backends`),

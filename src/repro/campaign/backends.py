@@ -8,16 +8,19 @@ is unchanged, but the *mechanism* is now a backend behind the
 * :class:`SerialBackend` — the extracted in-process loops, behaviour
   identical to PR 1 bit for bit;
 * :class:`SupervisedQueueBackend` — long-running worker processes
-  consuming shard-slice tasks from a multiprocessing queue.  Each shard
-  travels to a worker as a
-  :class:`~repro.campaign.checkpoint.CampaignCheckpoint`, runs its time
-  slice there, and comes back as a checkpoint that is merged into the
-  orchestrator's sessions in deterministic label order at each slice
-  frontier.  Shards share no mutable state, so per-shard results match
-  the serial backend bit for bit; only wall-clock changes.  Workers are
-  supervised with heartbeats: a dead, hung, or silent worker is respawned
-  and its shard's last good checkpoint re-dispatched (idempotent — the
-  re-run slice merges bit-identically); a shard that keeps failing is
+  consuming shard-slice tasks from a multiprocessing queue.  A shard
+  first travels to a worker as a
+  :class:`~repro.campaign.checkpoint.CampaignCheckpoint`; its session
+  then stays resident there, and later slices of that shard go to the
+  same worker by token whenever it is idle.  Every slice still returns
+  the advanced checkpoint, which the supervisor decodes, validates and
+  keeps as the shard's last-good recovery point; the orchestrator's
+  sessions load those states once, when the run call returns.  Shards
+  share no mutable state, so per-shard results match the serial backend
+  bit for bit; only wall-clock changes.  Workers are supervised with
+  heartbeats: a dead, hung, or silent worker is respawned and its shard's
+  last good checkpoint re-dispatched (idempotent — the re-run slice
+  reproduces the same state); a shard that keeps failing is
   quarantined instead of aborting the grid; when workers cannot be
   (re)spawned at all the supervisor degrades to in-process execution.
   Workers forward session events over a relay queue, so grid-wide
@@ -34,9 +37,11 @@ spawn-only platforms workers know the built-ins plus whatever registers
 at import time.
 """
 
+import contextlib
 import os
 import queue
 import time  # analyze: ignore[DET001] supervision deadlines/backoff; never feeds campaign state
+from collections import namedtuple
 
 from repro.campaign.checkpoint import CampaignCheckpoint, CheckpointError
 from repro.campaign.queue_worker import execute_task, worker_main
@@ -88,29 +93,15 @@ def _slice_frontiers(budget_seconds, slices):
     ]
 
 
-def _eligible(orchestrator, frontier, max_iterations):
-    """(label, shard_index, session) triples that still need this slice."""
-    rows = []
-    for shard_index, (label, session) in enumerate(orchestrator.sessions.items()):
-        if orchestrator.shard_health.get(label) == "quarantined":
-            continue
-        if frontier is not None and session.clock.seconds >= frontier:
-            continue  # already past: the worker would no-op
-        if (max_iterations is not None
-                and session.iterations >= max_iterations):
-            continue
-        rows.append((label, shard_index, session))
-    return rows
-
-
-def _make_task(label, shard_index, session, command, *, frontier=None,
+def _make_task(label, shard_index, command, *, frontier=None,
                max_iterations=None, count=None, relay=()):
-    """One shard-slice unit of work, as plain JSON-shaped data."""
+    """One shard-slice unit of work, as plain JSON-shaped data.  The
+    supervisor adds the shard's checkpoint or residency token when it
+    hands the task to a worker."""
     task = {
         "label": label,
         "shard_index": shard_index,
         "command": command,
-        "checkpoint_json": CampaignCheckpoint.capture(session).to_json(),
     }
     if relay:
         task["relay"] = list(relay)
@@ -166,6 +157,14 @@ def _preferred_context():
 # ---------------------------------------------------------------------------
 # Supervised work-queue backend
 # ---------------------------------------------------------------------------
+#: A shard's last-good result: ``token`` is the ``task_id`` that produced
+#: it (None for the state captured at run start), ``checkpoint_json`` the
+#: validated wire text a restore ships, ``state`` its decoded state, and
+#: ``worker`` the worker holding that token's live session (None when no
+#: worker may be trusted to).
+_LastGood = namedtuple("_LastGood", "token checkpoint_json state worker")
+
+
 class _Supervisor:
     """One backend run's worker fleet, queues, and supervision loop.
 
@@ -178,9 +177,14 @@ class _Supervisor:
     The failure/recovery state machine per task: *dispatched* →
     *assigned* (put on an idle worker's queue) → *claimed* (the worker
     announced pickup) → *result* | *error* | *timeout* | *worker lost*.
-    Every non-result outcome routes through
-    :meth:`ShardRecovery.record_failure`, which either re-dispatches the
-    same last-good checkpoint (after deterministic backoff) or
+    Assignment prefers the idle worker whose resident session carries
+    the shard's last-good token and sends it ``resident=<token>``; any
+    other worker gets the last-good ``checkpoint_json``.  A result is
+    decoded and validated, then kept as the shard's new last-good entry
+    (with its worker as the new holder) at the slice frontier.  Every
+    non-result outcome clears the shard's holder, so its retry ships the
+    checkpoint, and routes through :meth:`ShardRecovery.record_failure`,
+    which either re-dispatches (after deterministic backoff) or
     quarantines the shard.  Worker loss triggers a respawn; when the
     respawn budget is exhausted or spawning fails outright, the
     supervisor emits ``degraded`` and falls back to in-process execution
@@ -198,6 +202,12 @@ class _Supervisor:
         self.recovery = ShardRecovery(self.policy, bus=orchestrator.bus,
                                       health=orchestrator.shard_health)
         self.inline = False
+        # Each shard is captured once per run; results replace the entry.
+        self._last_good = {}
+        for label, session in orchestrator.sessions.items():
+            checkpoint = CampaignCheckpoint.capture(session)
+            self._last_good[label] = _LastGood(
+                None, checkpoint.to_json(), checkpoint.state, None)
         self._context = None
         self._workers = {}     # worker_id -> Process
         self._last_beat = {}   # worker_id -> monotonic seconds
@@ -274,11 +284,30 @@ class _Supervisor:
         self.recovery.degraded(reason, workers_left=len(self._workers))
 
     # -- dispatch ---------------------------------------------------------------
+    def _take_task_id(self):
+        task_id = self._next_task_id
+        self._next_task_id += 1
+        return task_id
+
+    def eligible(self, frontier, max_iterations):
+        """(label, shard_index) pairs that still need this slice, judged
+        from each shard's last-good state."""
+        rows = []
+        for shard_index, (label, good) in enumerate(self._last_good.items()):
+            if self.recovery.health.get(label) == "quarantined":
+                continue
+            if frontier is not None and good.state["clock"]["seconds"] >= frontier:
+                continue  # already past: the worker would no-op
+            if (max_iterations is not None
+                    and len(good.state["history"]) >= max_iterations):
+                continue
+            rows.append((label, shard_index))
+        return rows
+
     def _dispatch(self, template, slice_index, attempt, pending):
         task = {key: value for key, value in template.items()
                 if key not in ("task_id", "faults", "attempt")}
-        task_id = self._next_task_id
-        self._next_task_id += 1
+        task_id = self._take_task_id()
         task["task_id"] = task_id
         task["attempt"] = attempt
         task["slice_index"] = slice_index
@@ -292,19 +321,43 @@ class _Supervisor:
                             "assigned_at": None}
 
     def _assign(self, pending):
-        """Hand unassigned tasks, in dispatch order, to idle workers."""
+        """Hand unassigned tasks to idle workers: first every task whose
+        shard is resident on an idle worker, then the rest in dispatch
+        order."""
         idle = [worker_id for worker_id in sorted(self._workers)
                 if worker_id not in self._assigned]
-        for task_id, record in sorted(pending.items()):
+        waiting = [(task_id, record)
+                   for task_id, record in sorted(pending.items())
+                   if record["worker"] is None]
+        for task_id, record in waiting:
+            holder = self._last_good[record["task"]["label"]].worker
+            if holder in idle:
+                idle.remove(holder)
+                self._send(holder, task_id, record)
+        for task_id, record in waiting:
             if not idle:
                 return
-            if record["worker"] is not None:
-                continue
-            worker_id = idle.pop(0)
-            record["worker"] = worker_id
-            record["assigned_at"] = time.monotonic()
-            self._assigned[worker_id] = task_id
-            self._inboxes[worker_id].put(record["task"])
+            if record["worker"] is None:
+                self._send(idle.pop(0), task_id, record)
+
+    def _send(self, worker_id, task_id, record):
+        task = record["task"]
+        good = self._last_good[task["label"]]
+        if good.worker == worker_id:
+            self.recovery.note("resident_runs")
+            message = dict(task, resident=good.token)
+        else:
+            self.recovery.note("checkpoint_restores")
+            message = dict(task, checkpoint_json=good.checkpoint_json)
+        record["worker"] = worker_id
+        record["assigned_at"] = time.monotonic()
+        self._assigned[worker_id] = task_id
+        self._inboxes[worker_id].put(message)
+
+    def _forget_holder(self, label):
+        """The shard's task failed: whatever session a worker still holds
+        for it is suspect, so its next dispatch ships the checkpoint."""
+        self._last_good[label] = self._last_good[label]._replace(worker=None)
 
     def _fail_task(self, task_id, pending, delayed, slice_index, reason):
         record = pending.pop(task_id, None)
@@ -313,6 +366,7 @@ class _Supervisor:
         self._stale.add(task_id)
         task = record["task"]
         label = task["label"]
+        self._forget_holder(label)
         action, backoff = self.recovery.record_failure(
             label, slice_index=slice_index, shard_index=task["shard_index"],
             reason=reason)
@@ -328,6 +382,7 @@ class _Supervisor:
         record = pending.pop(task_id)
         self._stale.add(task_id)
         task = record["task"]
+        self._forget_holder(task["label"])
         self.recovery.requeue(task["label"], slice_index,
                               "worker-lost-unclaimed")
         # attempt+1 suppresses first-attempt fault injection: the
@@ -336,17 +391,22 @@ class _Supervisor:
 
     # -- supervision loop -------------------------------------------------------
     def execute_slice(self, slice_index, templates):
-        """Run one slice frontier's tasks to completion (or quarantine)
-        and merge results into the orchestrator in label order."""
+        """Run one slice frontier's tasks to completion (or quarantine);
+        each completed shard's result becomes its last-good entry."""
         results = {}
         if self.inline:
             for label in sorted(templates):
                 self._run_inline(templates[label], slice_index, results)
         else:
             self._supervise(slice_index, templates, results)
-        for label in self.orchestrator.labels:
-            if label in results:
-                self.orchestrator.sessions[label].load_state(results[label])
+        self._last_good.update(results)
+
+    def sync(self):
+        """Load every shard's last-good state into the orchestrator's
+        session, in label order: the run's one main-process merge."""
+        for label, good in self._last_good.items():
+            if good.token is not None:
+                self.orchestrator.sessions[label].load_state(good.state)
 
     def _supervise(self, slice_index, templates, results):
         pending = {}
@@ -389,13 +449,16 @@ class _Supervisor:
             return
         task = {key: value for key, value in template.items()
                 if key not in ("faults", "relay")}
+        task["checkpoint_json"] = self._last_good[label].checkpoint_json
         while True:
             self.recovery.note("inline_tasks")
+            self.recovery.note("checkpoint_restores")
             try:
-                advanced = CampaignCheckpoint.from_json(execute_task(
-                    task, cache=self.orchestrator.cache,
-                    bus=self.orchestrator.bus))
-                results[label] = advanced.state
+                text = execute_task(task, cache=self.orchestrator.cache,
+                                    bus=self.orchestrator.bus)
+                advanced = CampaignCheckpoint.from_json(text)
+                results[label] = _LastGood(self._take_task_id(), text,
+                                           advanced.state, None)
                 break
             except Exception as exc:
                 action, backoff = self.recovery.record_failure(
@@ -450,7 +513,9 @@ class _Supervisor:
                 self._fail_task(task_id, pending, delayed, slice_index,
                                 "corrupt-checkpoint")
                 return
-            results[record["task"]["label"]] = advanced.state
+            results[record["task"]["label"]] = _LastGood(
+                task_id, message["checkpoint_json"], advanced.state,
+                worker_id)
             pending.pop(task_id)
         elif mtype == "error":
             self.recovery.note("worker_errors")
@@ -597,47 +662,53 @@ class SupervisedQueueBackend(ExecutionBackend):
         return tuple(event for event in self.RELAY_EVENTS
                      if orchestrator.bus.has_subscribers(event))
 
+    @contextlib.contextmanager
+    def _supervised(self, orchestrator):
+        """One run's supervisor; on the way out, returning or raising, the
+        fleet is shut down and the orchestrator's sessions are brought up
+        to each shard's last completed slice."""
+        supervisor = _Supervisor(self, orchestrator)
+        self._recovery = supervisor.recovery
+        try:
+            yield supervisor
+        finally:
+            try:
+                supervisor.shutdown()
+            finally:
+                supervisor.sync()
+
     def run_for_virtual_time(self, orchestrator, budget_seconds,
                              max_iterations=None, slices=8):
         frontiers = _slice_frontiers(budget_seconds, slices)
-        supervisor = _Supervisor(self, orchestrator)
-        self._recovery = supervisor.recovery
         relay = self._relay_wanted(orchestrator)
-        try:
+        with self._supervised(orchestrator) as supervisor:
             for step, frontier in enumerate(frontiers, start=1):
                 templates = {
-                    label: _make_task(label, shard_index, session,
+                    label: _make_task(label, shard_index,
                                       "run_for_virtual_time",
                                       frontier=frontier,
                                       max_iterations=max_iterations,
                                       relay=relay)
-                    for label, shard_index, session in _eligible(
-                        orchestrator, frontier, max_iterations)
+                    for label, shard_index in supervisor.eligible(
+                        frontier, max_iterations)
                 }
                 supervisor.execute_slice(step - 1, templates)
                 orchestrator.bus.milestone(
                     "time_slice", orchestrator=orchestrator,
                     frontier=frontier, step=step, slices=len(frontiers))
-        finally:
-            supervisor.shutdown()
         for label, session in orchestrator.sessions.items():
             orchestrator.bus.milestone("shard_done", orchestrator=orchestrator,
                                        shard=label, session=session)
 
     def run_iterations(self, orchestrator, count, batch=16):
-        supervisor = _Supervisor(self, orchestrator)
-        self._recovery = supervisor.recovery
         relay = self._relay_wanted(orchestrator)
-        try:
+        with self._supervised(orchestrator) as supervisor:
             templates = {
-                label: _make_task(label, shard_index, session,
-                                  "run_iterations", count=count, relay=relay)
-                for label, shard_index, session in _eligible(
-                    orchestrator, None, None)
+                label: _make_task(label, shard_index, "run_iterations",
+                                  count=count, relay=relay)
+                for label, shard_index in supervisor.eligible(None, None)
             }
             supervisor.execute_slice(0, templates)
-        finally:
-            supervisor.shutdown()
         for label, session in orchestrator.sessions.items():
             orchestrator.bus.milestone("shard_done", orchestrator=orchestrator,
                                        shard=label, session=session)

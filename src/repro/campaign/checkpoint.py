@@ -9,10 +9,11 @@ that was never interrupted.  The checkpoint is taken at an iteration
 boundary (the only state the session drivers expose); everything else
 (DUT core, runner, REF) is rebuilt per iteration and never crosses one.
 
-The same bundle is the unit of work the
-:class:`~repro.campaign.backends.SupervisedQueueBackend` ships to worker
-processes: a shard travels to the worker as a checkpoint, runs its time
-slice there, and comes back as a checkpoint.
+The same bundle is the recovery point of the
+:class:`~repro.campaign.backends.SupervisedQueueBackend`: a shard first
+travels to a worker as a checkpoint, every slice comes back as one, and
+a failed slice is re-run from the shard's last good checkpoint (between
+slices the session itself stays resident in the worker).
 """
 
 import contextlib

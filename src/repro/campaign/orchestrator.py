@@ -11,10 +11,12 @@ grid as shards with:
 * **pluggable execution backends** — the scheduling policy above is
   mechanism-independent: :class:`~repro.campaign.backends.SerialBackend`
   advances shards in-process (the default), while
-  :class:`~repro.campaign.backends.SupervisedQueueBackend` ships each
-  shard to a supervised worker process as a checkpoint and merges results
-  at every slice frontier — bit-identical per-shard results either way,
-  because shards share no mutable state;
+  :class:`~repro.campaign.backends.SupervisedQueueBackend` keeps each
+  shard's session resident in a supervised worker process, with a
+  validated checkpoint per slice as the recovery point — bit-identical
+  per-shard results either way, because shards share no mutable state.
+  Under that backend :attr:`CampaignOrchestrator.sessions` reflects each
+  shard's last completed slice only once the run call returns;
 * **per-shard deterministic seeding** — ``reseed_base`` derives a distinct,
   reproducible seed per shard index for specs that do not pin one;
 * **a shared instrumentation cache** — shards with identical

@@ -2,9 +2,21 @@
 
 A worker is a **long-running** process: it loops on its own
 multiprocessing task queue (the supervisor puts a task there only while
-the worker is idle), restores each shard-slice task from its checkpoint,
-runs the slice, and posts the advanced checkpoint back on the shared
-result queue.  Alongside the task loop:
+the worker is idle), runs each shard-slice task, and posts the advanced
+checkpoint back on the shared result queue.
+
+Shard sessions stay **resident** in the worker between slices.  A task
+carries either ``checkpoint_json`` — the worker restores the shard from
+it, replacing any session it already holds for that shard — or
+``resident``, the token (the producing ``task_id``) of the session the
+worker kept from an earlier slice; the held session runs only if its
+token matches, and a mismatch is an error, never a silent run.  After
+every slice the worker still captures the session and returns it as the
+shard's recovery checkpoint; a task that raises drops the worker's
+session for that shard, so the next task for it must carry a
+checkpoint.
+
+Alongside the task loop:
 
 * a daemon **heartbeat thread** posts liveness beats every
   ``heartbeat_interval_s`` even while the main thread is deep in a slice,
@@ -101,21 +113,36 @@ class RelayPublisher:
         return forward
 
 
-def execute_task(task, cache=None, relay_queue=None, bus=None):
-    """Restore the shard from its checkpoint, run the slice, and return
-    the advanced checkpoint as compact JSON.
+def execute_task(task, cache=None, relay_queue=None, bus=None, resident=None):
+    """Run one shard slice and return the advanced checkpoint as compact
+    JSON.
 
-    Shared by worker processes and the supervisor's degraded in-process
-    fallback — one code path, so both execution modes are bit-identical
-    by construction.  ``bus`` overrides
-    the private per-task bus (the inline fallback passes the
-    orchestrator's bus so local subscribers see full-fidelity events)."""
-    if bus is None:
-        bus = EventBus()
-        if relay_queue is not None and task.get("relay"):
-            RelayPublisher(relay_queue, task["label"], task["relay"]).attach(bus)
-    checkpoint = CampaignCheckpoint.from_json(task["checkpoint_json"])
-    session = checkpoint.restore(bus=bus, cache=cache)
+    ``resident`` maps shard label -> ``(token, session)``: the sessions
+    this worker keeps between slices.  A task with ``checkpoint_json``
+    restores the shard from it; a task with a ``resident`` token runs the
+    held session if the token matches and raises otherwise (running
+    whatever the worker does hold would silently fork the shard).  Either
+    way the advanced session is then held under this task's
+    ``task_id``.  The supervisor's degraded in-process fallback
+    passes no ``resident`` map and always ships a checkpoint — the same
+    code path, so both execution modes are bit-identical by construction.
+    ``bus`` overrides the private per-session bus (the inline fallback
+    passes the orchestrator's bus so local subscribers see full-fidelity
+    events); a held session keeps the bus it was restored with."""
+    label = task["label"]
+    if "checkpoint_json" in task:
+        if bus is None:
+            bus = EventBus()
+            if relay_queue is not None and task.get("relay"):
+                RelayPublisher(relay_queue, label, task["relay"]).attach(bus)
+        checkpoint = CampaignCheckpoint.from_json(task["checkpoint_json"])
+        session = checkpoint.restore(bus=bus, cache=cache)
+    else:
+        token, session = (resident or {}).get(label, (None, None))
+        if session is None or token != task["resident"]:
+            raise RuntimeError(
+                f"shard {label!r}: task wants resident session "
+                f"{task['resident']!r}, worker holds {token!r}")
     command = task["command"]
     if command == "run_for_virtual_time":
         session.run_for_virtual_time(task["frontier"],
@@ -124,6 +151,8 @@ def execute_task(task, cache=None, relay_queue=None, bus=None):
         session.run_iterations(task["count"])
     else:
         raise ValueError(f"unknown task command {command!r}")
+    if resident is not None:
+        resident[label] = (task["task_id"], session)
     return CampaignCheckpoint.capture(session).to_json()
 
 
@@ -139,9 +168,10 @@ def worker_main(worker_id, task_queue, result_queue, relay_queue,
                 heartbeat_interval_s=DEFAULT_HEARTBEAT_S):
     """The worker process entry point: loop until the ``None`` sentinel.
 
-    A task that raises is reported as an ``error`` message and the loop
-    continues — a poison shard must not take the worker (or the grid)
-    down with it; retry/quarantine policy lives with the supervisor."""
+    A task that raises is reported as an ``error`` message, its shard's
+    held session is dropped, and the loop continues — a poison shard must
+    not take the worker (or the grid) down with it; retry/quarantine
+    policy lives with the supervisor."""
     stop = threading.Event()
     beat = threading.Thread(
         target=_heartbeat_loop,
@@ -154,6 +184,7 @@ def worker_main(worker_id, task_queue, result_queue, relay_queue,
     from repro.campaign.cache import InstrumentationCache
 
     cache = InstrumentationCache()
+    resident = {}  # label -> (token, session), at most one per shard
     try:
         while True:
             task = task_queue.get()
@@ -166,10 +197,12 @@ def worker_main(worker_id, task_queue, result_queue, relay_queue,
             try:
                 apply_fault_directives(directives, "pre", context)
                 context["checkpoint_json"] = execute_task(
-                    task, cache=cache, relay_queue=relay_queue)
+                    task, cache=cache, relay_queue=relay_queue,
+                    resident=resident)
                 apply_fault_directives(directives, "post", context)
                 apply_fault_directives(directives, "result", context)
             except Exception as exc:  # poison shard: report, keep serving
+                resident.pop(task["label"], None)
                 result_queue.put({
                     "type": "error", "task_id": task["task_id"],
                     "worker": worker_id, "label": task["label"],

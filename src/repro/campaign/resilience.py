@@ -294,6 +294,8 @@ class _RecoveryCounters:
     inline_tasks: int = 0
     requeues: int = 0
     relay_events: int = 0
+    checkpoint_restores: int = 0  # tasks that shipped a checkpoint
+    resident_runs: int = 0        # tasks that ran a worker-held session
     extra: dict = field(default_factory=dict)
 
 

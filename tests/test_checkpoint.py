@@ -406,6 +406,24 @@ class TestBackends:
         assert grid.coverage_series() == serial.coverage_series()
 
 
+SLICE_CUT_BUDGET_S = 0.01
+SLICE_CUT_ITERATIONS = 12
+
+
+def slice_cut_specs():
+    return [small_spec(seed=seed).named(f"s{seed}") for seed in (6, 7)]
+
+
+@functools.lru_cache(maxsize=None)
+def uninterrupted_slice_cut_grid():
+    """A shard's result does not depend on where the slice frontiers
+    fall, only on the final budget, so one serial run serves every cut."""
+    serial = CampaignOrchestrator(slice_cut_specs())
+    serial.run_for_virtual_time(SLICE_CUT_BUDGET_S,
+                                max_iterations=SLICE_CUT_ITERATIONS)
+    return serial.coverage_series(), serial.shard_stats()
+
+
 class TestOrchestratorResume:
     def test_grid_resume_equals_uninterrupted(self):
         specs = [small_spec(seed=seed).named(f"s{seed}") for seed in (1, 2, 3)]
@@ -435,6 +453,35 @@ class TestOrchestratorResume:
         resumed.run_for_virtual_time(0.01, max_iterations=10, slices=1)
 
         assert resumed.coverage_series() == full.coverage_series()
+
+    @given(cut=st.integers(min_value=2, max_value=6).flatmap(
+        lambda slices: st.tuples(st.just(slices),
+                                 st.integers(min_value=1,
+                                             max_value=slices - 1))))
+    @settings(max_examples=6, deadline=None)
+    def test_resume_at_any_slice_on_supervised_backend(self, cut):
+        slices, frontier = cut
+        cut_s = SLICE_CUT_BUDGET_S * frontier / slices
+        first_leg = CampaignOrchestrator(
+            slice_cut_specs(), backend=SupervisedQueueBackend(workers=2))
+        first_leg.run_for_virtual_time(
+            cut_s, max_iterations=SLICE_CUT_ITERATIONS, slices=frontier)
+        # The supervised sessions really stand at the cut when the call
+        # returns (not at their start, which would resume trivially).
+        serial_leg = CampaignOrchestrator(slice_cut_specs())
+        serial_leg.run_for_virtual_time(
+            cut_s, max_iterations=SLICE_CUT_ITERATIONS, slices=1)
+        assert first_leg.shard_stats() == serial_leg.shard_stats()
+        wire = json_round_trip(
+            {label: cp.to_dict() for label, cp in first_leg.checkpoint().items()})
+        resumed = CampaignOrchestrator.from_checkpoints(
+            [CampaignCheckpoint.from_dict(cp) for cp in wire.values()],
+            backend=SupervisedQueueBackend(workers=2))
+        resumed.run_for_virtual_time(
+            SLICE_CUT_BUDGET_S, max_iterations=SLICE_CUT_ITERATIONS,
+            slices=slices - frontier)
+        assert (resumed.coverage_series(), resumed.shard_stats()) \
+            == uninterrupted_slice_cut_grid()
 
 
 class TestCoverageAtBisect:

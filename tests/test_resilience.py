@@ -26,6 +26,7 @@ from repro.campaign import (
     register_fault,
 )
 from repro.campaign.backends import _Supervisor
+from repro.campaign.queue_worker import execute_task
 from repro.campaign.resilience import KILL_WORKER_EXIT_CODE
 
 SMALL = {"instructions_per_iteration": 150}
@@ -445,6 +446,112 @@ class TestSupervisedFaultKinds:
         report = supervised.report()
         assert report["shard_health"]["a"] == "quarantined"
         assert supervised.shard_stats()["b"] == serial.shard_stats()["b"]
+
+
+class TestResidency:
+    """Shard sessions stay resident in workers between slices; the
+    checkpoint is only the recovery point."""
+
+    BUDGET_S = 0.016  # about two 150-instruction iterations per 2 ms slice
+
+    def four_shard_specs(self):
+        return [small_spec(seed=seed).named(label)
+                for seed, label in ((11, "a"), (22, "b"), (33, "c"),
+                                    (44, "d"))]
+
+    def supervised(self, specs, injector=None, slices=2):
+        orchestrator = CampaignOrchestrator(
+            specs, backend=SupervisedQueueBackend(
+                workers=2, policy=FaultPolicy(slice_timeout_s=60.0),
+                injector=injector))
+        orchestrator.run_for_virtual_time(self.BUDGET_S, max_iterations=30,
+                                          slices=slices)
+        return orchestrator
+
+    def serial(self, specs, slices=2):
+        return serial_reference(specs, budget=self.BUDGET_S, slices=slices)
+
+    def test_worker_runs_a_held_session_only_for_its_token(self):
+        session = build_session(small_spec(seed=11))
+        resident = {"a": (3, session)}
+        task = {"label": "a", "command": "run_iterations", "count": 1,
+                "task_id": 4}
+        with pytest.raises(RuntimeError, match="worker holds 3"):
+            execute_task(dict(task, resident=2), resident=resident)
+        with pytest.raises(RuntimeError, match="worker holds None"):
+            execute_task(dict(task, label="b", resident=3), resident=resident)
+        assert session.iterations == 0
+        text = execute_task(dict(task, resident=3), resident=resident)
+        assert resident["a"] == (4, session) and session.iterations == 1
+        assert len(CampaignCheckpoint.from_json(text).state["history"]) == 1
+
+    def test_every_dispatch_is_a_restore_or_a_resident_run(self,
+                                                           monkeypatch):
+        dispatched = []
+        dispatch = _Supervisor._dispatch
+
+        def counting_dispatch(self, template, *args):
+            dispatched.append(template["label"])
+            return dispatch(self, template, *args)
+
+        monkeypatch.setattr(_Supervisor, "_dispatch", counting_dispatch)
+        specs = self.four_shard_specs()
+        supervised = self.supervised(specs, slices=8)
+        assert_bit_identical(self.serial(specs, slices=8), supervised)
+        counters = supervised.report()["resilience"]["counters"]
+        assert counters["failures"] == 0
+        assert len(dispatched) >= 8 * 2
+        assert (counters["checkpoint_restores"] + counters["resident_runs"]
+                == len(dispatched))
+        assert counters["resident_runs"] > 0
+
+    def test_killed_worker_forces_restores(self):
+        # Two shards on two workers never migrate without faults: each
+        # shard is restored exactly once, then runs resident.
+        specs = two_shard_specs()
+        fault_free = self.supervised(specs)
+        restores = fault_free.report()["resilience"]["counters"][
+            "checkpoint_restores"]
+        assert restores == len(specs)
+        chaos = self.supervised(
+            specs, FaultInjector(schedule=[("kill-worker", 1, 0)]))
+        assert_bit_identical(self.serial(specs), chaos)
+        counters = chaos.report()["resilience"]["counters"]
+        assert counters["worker_losses"] == 1
+        assert counters["checkpoint_restores"] > restores
+
+    def test_corrupt_result_from_a_live_worker_ships_the_checkpoint(self):
+        # The corrupting worker already holds the newer session; the
+        # retry must restore the last-good checkpoint, not ask for the
+        # old resident token (which would fail as a worker error).
+        specs = two_shard_specs()
+        supervised = self.supervised(
+            specs, FaultInjector(schedule=[("corrupt-checkpoint", 0, 1)]))
+        assert_bit_identical(self.serial(specs), supervised)
+        counters = supervised.report()["resilience"]["counters"]
+        assert counters["corrupt_checkpoints"] == 1
+        assert counters["failures"] == 1
+        assert counters["worker_errors"] == 0
+
+    def test_sessions_sync_when_the_run_raises(self, monkeypatch):
+        # A run that dies mid-way leaves each shard at its last completed
+        # slice, exactly as a serial run cut at the same frontier.
+        specs = two_shard_specs()
+        serial = serial_reference(specs, budget=self.BUDGET_S / 2, slices=1)
+        execute_slice = _Supervisor.execute_slice
+
+        def fail_second_slice(self, slice_index, templates):
+            if slice_index == 1:
+                raise RuntimeError("supervisor died")
+            return execute_slice(self, slice_index, templates)
+
+        monkeypatch.setattr(_Supervisor, "execute_slice", fail_second_slice)
+        supervised = CampaignOrchestrator(
+            specs, backend=SupervisedQueueBackend(workers=2))
+        with pytest.raises(RuntimeError, match="supervisor died"):
+            supervised.run_for_virtual_time(self.BUDGET_S, max_iterations=30,
+                                            slices=2)
+        assert_bit_identical(serial, supervised)
 
 
 class TestChaosDeterminism:
