@@ -28,9 +28,10 @@ STATE_FORMAT_VERSION = 2  # v2: column-wise corpus blocks
 
 class CheckpointError(ValueError):
     """A checkpoint could not be parsed or validated: truncated/corrupt
-    JSON, a non-object payload, missing required keys, or an unknown
-    format version.  Subclasses :class:`ValueError` so pre-existing
-    callers catching the old raw errors keep working."""
+    JSON, a non-object payload, spec, state or meta, missing required
+    keys, an invalid spec, or an unknown format version.  Subclasses
+    :class:`ValueError` so pre-existing callers catching the old raw
+    errors keep working."""
 
 
 @dataclass
@@ -94,8 +95,15 @@ class CampaignCheckpoint:
                 f"checkpoint format v{version} is {age} than this code "
                 f"(reads only v{STATE_FORMAT_VERSION})"
             )
-        return cls(spec=CampaignSpec.from_dict(data["spec"]),
-                   state=data["state"], version=version,
+        for key in ("spec", "state", "meta"):
+            if not isinstance(data.get(key, {}), dict):
+                raise CheckpointError(f"checkpoint {key} must be an object, "
+                                      f"got {type(data[key]).__name__}")
+        try:
+            spec = CampaignSpec.from_dict(data["spec"])
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint spec is invalid: {exc}") from exc
+        return cls(spec=spec, state=data["state"], version=version,
                    meta=dict(data.get("meta", {})))
 
     def to_json(self):

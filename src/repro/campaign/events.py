@@ -143,11 +143,6 @@ class EventBus:
         """Shorthand for ``emit("milestone", kind=kind, ...)``."""
         self.emit("milestone", kind=kind, **payload)
 
-    def handler_count(self, event=None):
-        if event is not None:
-            return len(self._handlers[event])
-        return sum(len(handlers) for handlers in self._handlers.values())
-
 
 class BufferedSink:
     """Batches events in memory and flushes them in chunks.

@@ -282,10 +282,12 @@ class CampaignSession:
                                 coarse_detection=None):
         """Iterate until an injected bug's condition fires on the DUT.
 
-        This is the REF-free fast path for Table II: with TurboFuzz's
-        instruction-level lockstep checking, the moment the bug's
-        architecturally-visible condition fires it is flagged; running the
-        REF only doubles the cost.
+        This is the REF-free fast path for Table II.  It times the bug's
+        hook firing, not detection: no checker is consulted, and a hook
+        that fires is not always flagged.  R1 fires in the first iteration,
+        yet lockstep checking against the REF (:meth:`run_until_mismatch`)
+        flags nothing, as perfbench's ``bughunt`` escapes show.  Timing
+        flagged mismatches instead is ROADMAP item 2.
 
         ``coarse_detection`` models DifuzzRTL-style checking ("coarse-
         grained comparisons between the DUT and REF after thousands of

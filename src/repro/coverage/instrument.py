@@ -14,7 +14,7 @@ from repro.analyze.markers import hot_path
 from repro.coverage.layout import make_layout
 from repro.coverage.map import CoverageMap
 from repro.coverage.weighting import FeedbackWeights
-from repro.perf.evict import evict_half
+from repro.evict import evict_half
 from repro.rtl.netlist import control_registers
 
 _MEMO_LIMIT = 1 << 20
@@ -108,10 +108,9 @@ class ModuleCoverage:
 
         Value-tuple memo key, per-observation ``layout.contribution()``
         calls, wholesale ``clear()`` at the bound — exactly the
-        implementation this PR replaced.  It is the oracle the
+        implementation the fast path replaced.  It is the oracle the
         equivalence suite (and ``DutCore.use_reference_observer``) runs
-        against, and the denominator of the perf harness's
-        ``speedup_vs_reference`` ratio.
+        against.
         """
         index = self._reference_memo.get(values)
         if index is None:
@@ -169,14 +168,6 @@ class ModuleCoverage:
         for contribution in self._contribs:
             self.index ^= contribution
 
-    def zero_index(self):
-        """The running index of the all-zero (reset) state — the base the
-        DUT cores' slot bindings diff from after every reset."""
-        index = 0
-        for table in self.tables:
-            index ^= table[0]
-        return index
-
 
 class DesignCoverage:
     """All instrumented modules of one DUT plus weighting and totals."""
@@ -200,14 +191,6 @@ class DesignCoverage:
         else:
             register.set(value)
 
-    def tick_all(self):
-        """Clock edge across the whole design; returns new-point count."""
-        new_points = 0
-        for cov in self.modules:
-            if cov.tick():
-                new_points += 1
-        return new_points
-
     # -- totals -----------------------------------------------------------------
     @property
     def total_points(self):
@@ -217,12 +200,6 @@ class DesignCoverage:
     @property
     def total_instrumented(self):
         return sum(cov.layout.instrumented_points for cov in self.modules)
-
-    def weighted_feedback(self):
-        """The shifted N_cov total the fuzzer consumes as feedback."""
-        return self.weights.weighted_total(
-            {cov.name: cov.count for cov in self.modules}
-        )
 
     def counts_by_module(self):
         return {cov.name: cov.count for cov in self.modules}

@@ -37,8 +37,8 @@ from operator import itemgetter
 from repro.analyze.markers import hot_path
 from repro.dut.bugs import BuggyHooks, CorrectHooks
 from repro.dut.caches import DirectMappedCache
+from repro.evict import evict_half
 from repro.isa import csr as CSR
-from repro.perf.evict import evict_half
 from repro.isa.decoder import _CACHE as _DECODE_CACHE
 from repro.isa.decoder import try_decode
 from repro.isa.instructions import (

@@ -62,16 +62,3 @@ class DirectGenerator:
         spec = self.context.lfsr.choice(self._weighted_specs())
         return self.builder.build(spec, block_index, estimated_blocks,
                                   jump_window)
-
-    def generate_blocks(self, instruction_budget, jump_window):
-        """Blocks until the cumulative instruction count reaches budget."""
-        blocks = []
-        total = 0
-        index = 0
-        estimated = instruction_budget  # upper bound on block count
-        while total < instruction_budget:
-            block = self.generate_block(index, estimated, jump_window)
-            blocks.append(block)
-            total += block.size
-            index += 1
-        return blocks

@@ -78,9 +78,6 @@ class InstructionLibrary:
     def categories(self):
         return list(self._by_category)
 
-    def specs_in_category(self, category):
-        return list(self._by_category.get(category, ()))
-
     def sample(self, lfsr):
         """Uniformly sample a prime instruction spec."""
         return lfsr.choice(self._active)

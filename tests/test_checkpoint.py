@@ -291,6 +291,24 @@ class TestSessionResume:
         with pytest.raises(CheckpointError, match="v1 is older"):
             CampaignCheckpoint.from_dict(data)
 
+    @pytest.mark.parametrize("key,value", [
+        ("spec", {"bogus": 1}),
+        ("spec", "x"),
+        ("spec", 5),
+        ("spec", []),
+        ("spec", {"bugs": 5}),
+        ("state", 7),
+        ("state", []),
+        ("meta", "x"),
+    ])
+    def test_malformed_spec_state_or_meta_rejected(self, key, value):
+        # The supervisor counts only CheckpointError as a corrupt result;
+        # anything else a worker's result raises would abort the run.
+        data = CampaignCheckpoint.capture(build_session(small_spec())).to_dict()
+        data[key] = value
+        with pytest.raises(CheckpointError):
+            CampaignCheckpoint.from_dict(data)
+
     def test_checkpoint_rejects_mismatched_design(self):
         rocket = build_session(small_spec(seed=1))
         rocket.run_iterations(1)
